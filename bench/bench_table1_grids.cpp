@@ -2,17 +2,16 @@
 // function of the number of velocity grids (§III-H).
 //
 // The three configurations are *real operators* of this library:
-//   1 grid  — LandauOperator: all species share one wide-range mesh,
-//   3 grids — MultiGridLandauOperator with the paper's clustering rule
-//             (species within 2x thermal speed share a grid): e | D | 8 W,
-//   10 grids — MultiGridLandauOperator with per-species grids.
+//   1 grid  — LandauOperator's default: all species share one wide-range mesh,
+//   3 grids — clustering ratio 2, the paper's rule (species within 2x
+//             thermal speed share a grid): e | D | 8 W,
+//   10 grids — clustering ratio 0.99: one grid per species.
 // Counted quantities: total integration points N, Landau tensor evaluations
 // N^2, and equations n. Paper: N = 1184/960/3200, n = 8050/1930/1930.
 
 #include <cstdio>
 
 #include "common.h"
-#include "core/multigrid.h"
 #include "core/operator.h"
 #include "util/options.h"
 #include "util/table_writer.h"
@@ -59,7 +58,7 @@ int main(int argc, char** argv) {
     report.metric("grids1.n_equations", static_cast<double>(one.n_total()), "equations", "none");
   }
   {
-    MultiGridLandauOperator mg(species, lopts, 2.0); // the paper's clustering
+    LandauOperator mg(species, lopts, 2.0); // the paper's clustering
     table.add_row().cell(mg.n_grids()).cell(static_cast<long long>(mg.n_ips_total()))
         .cell(n2(mg.n_ips_total())).cell(static_cast<long long>(mg.n_total()));
     std::printf("%d grids: clusters", mg.n_grids());
@@ -71,7 +70,7 @@ int main(int argc, char** argv) {
     report.metric("grids3.n_equations", static_cast<double>(mg.n_total()), "equations", "none");
   }
   {
-    MultiGridLandauOperator pg(species, lopts, 0.99); // one grid per species
+    LandauOperator pg(species, lopts, 0.99); // one grid per species
     table.add_row().cell(pg.n_grids()).cell(static_cast<long long>(pg.n_ips_total()))
         .cell(n2(pg.n_ips_total())).cell(static_cast<long long>(pg.n_total()));
     report.metric("grids10.n_ips", static_cast<double>(pg.n_ips_total()), "points", "none");

@@ -4,18 +4,15 @@
 // integration point, stored as a structure of arrays for coalesced access on
 // the emulated device. The element and integration-point loops of the inner
 // integral are merged over these flat arrays, exactly as in the paper.
+// LandauOperator::pack fills them.
 //
-// In multi-grid mode (§III-H) the arrays concatenate every grid's points and
+// With several grids (§III-H) the arrays concatenate every grid's points and
 // a species' values are nonzero only on the points of its own grid, so the
 // single flattened inner loop computes the union of the per-grid integrals
 // without branching.
 
 #include <cstddef>
-#include <span>
 #include <vector>
-
-#include "fem/fespace.h"
-#include "la/vec.h"
 
 namespace landau {
 
@@ -50,9 +47,5 @@ struct IPData {
     return (r.size() + z.size() + w.size() + f.size() + dfr.size() + dfz.size()) * sizeof(double);
   }
 };
-
-/// Pack a single-grid state: one FE space shared by all species, one free-dof
-/// vector per species.
-void pack_ip_data(const fem::FESpace& fes, std::span<const la::Vec> states, IPData* out);
 
 } // namespace landau

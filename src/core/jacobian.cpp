@@ -42,23 +42,6 @@ void JacobianContext::init(const fem::FESpace& f, const SpeciesSet& s, const IPD
   }
 }
 
-la::SparsityPattern landau_jacobian_sparsity(const fem::FESpace& fes, int n_species) {
-  const std::size_t nf = fes.n_dofs();
-  la::SparsityPattern pattern(nf * static_cast<std::size_t>(n_species),
-                              nf * static_cast<std::size_t>(n_species));
-  for (std::size_t c = 0; c < fes.n_cells(); ++c) {
-    const auto dofs = fes.dofmap().cell_free_dofs(c);
-    for (int s = 0; s < n_species; ++s) {
-      const std::size_t off = static_cast<std::size_t>(s) * nf;
-      for (auto di : dofs)
-        for (auto dj : dofs)
-          pattern.add(off + static_cast<std::size_t>(di), off + static_cast<std::size_t>(dj));
-    }
-  }
-  pattern.compress();
-  return pattern;
-}
-
 namespace detail {
 
 LANDAU_DEVICE void assemble_element(const JacobianContext& ctx, std::size_t cell,

@@ -53,7 +53,7 @@ struct JacobianContext {
   const std::vector<std::size_t>* coo_cell_offsets = nullptr;
 
   // Multi-grid support (§III-H): this context's FE space is one grid of a
-  // multi-grid operator. Its cells' integration points start at ip_offset in
+  // LandauOperator. Its cells' integration points start at ip_offset in
   // the concatenated IP arrays; only grid_species have dofs on this grid
   // (others contribute to the inner integral via the IP data but assemble
   // nothing here); species dof blocks start at species_offsets[s].
@@ -74,10 +74,6 @@ struct JacobianContext {
   /// Species whose dofs live on this context's grid.
   bool species_on_grid(int s) const;
 };
-
-/// Sparsity of the full multi-species Jacobian: S independent diagonal blocks
-/// with the FE space's element-coupling pattern (I_S (x) A_1, §III).
-la::SparsityPattern landau_jacobian_sparsity(const fem::FESpace& fes, int n_species);
 
 /// Add the collision matrix C into J (J must carry the block sparsity).
 void assemble_landau_jacobian(Backend backend, exec::ThreadPool& pool,

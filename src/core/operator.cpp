@@ -1,6 +1,7 @@
 #include "core/operator.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "core/advection.h"
 #include "exec/check.h"
@@ -9,22 +10,6 @@
 #include "util/robustness.h"
 
 namespace landau {
-namespace {
-
-mesh::Forest make_forest(const SpeciesSet& species, const LandauOptions& opts) {
-  mesh::VelocityMeshSpec spec;
-  spec.radius = opts.radius;
-  spec.base_levels = opts.base_levels;
-  spec.cells_per_thermal = opts.cells_per_thermal;
-  spec.zone_extent = opts.zone_extent;
-  spec.max_levels = opts.max_levels;
-  spec.tail_zones = opts.tail_zones;
-  for (const auto& sp : species) spec.thermal_speeds.push_back(sp.thermal_speed());
-  return mesh::build_velocity_mesh(spec);
-}
-
-} // namespace
-
 LandauOptions LandauOptions::from_options(Options& opts) {
   LandauOptions o;
   o.order = opts.get<int>("landau_order", o.order, "Qk element order");
@@ -58,24 +43,73 @@ LandauOptions LandauOptions::from_options(Options& opts) {
   return o;
 }
 
-LandauOperator::LandauOperator(SpeciesSet species, LandauOptions opts)
-    : species_(std::move(species)), opts_(opts), forest_(make_forest(species_, opts_)) {
-  fes_ = std::make_unique<fem::FESpace>(forest_, opts_.order);
-  pool_ = std::make_unique<exec::ThreadPool>(opts_.n_workers);
-  LANDAU_INFO("LandauOperator: " << forest_.n_leaves() << " cells, "
-                                 << fes_->n_dofs() << " dofs/species, " << species_.size()
-                                 << " species, backend " << backend_name(opts_.backend));
+LandauOperator::LandauOperator(SpeciesSet species, LandauOptions opts, double cluster_ratio)
+    : species_(std::move(species)), opts_(std::move(opts)),
+      pool_(std::make_unique<exec::ThreadPool>(opts_.n_workers)) {
+  // --- cluster species by thermal speed, fastest first (§III-H) -----------
+  const int ns = n_species();
+  std::vector<int> order(static_cast<std::size_t>(ns));
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return species_[a].thermal_speed() > species_[b].thermal_speed();
+  });
+  for (int s : order) {
+    const double vth = species_[s].thermal_speed();
+    auto it = std::find_if(grids_.begin(), grids_.end(), [&](const GridBlock& g) {
+      return species_[g.species.front()].thermal_speed() / vth <= cluster_ratio;
+    });
+    if (it == grids_.end()) it = grids_.emplace(grids_.end());
+    it->species.push_back(s);
+  }
+
+  // --- one mesh per cluster, scaled to its fastest member ------------------
+  // The fastest grid keeps opts.radius exactly (vmax / vfast == 1) and the
+  // tail zones; slower grids shrink with their thermal speed. No grid is
+  // added from here on: each FE space points at its grid's forest.
+  const double vfast = species_[grids_.front().species.front()].thermal_speed();
+  species_grid_.assign(static_cast<std::size_t>(ns), 0);
+  for (std::size_t g = 0; g < grids_.size(); ++g) {
+    GridBlock& gb = grids_[g];
+    const double vmax = species_[gb.species.front()].thermal_speed();
+    std::sort(gb.species.begin(), gb.species.end());
+    gb.radius = opts_.radius * (vmax / vfast);
+    mesh::VelocityMeshSpec spec;
+    spec.radius = gb.radius;
+    spec.base_levels = opts_.base_levels;
+    spec.cells_per_thermal = opts_.cells_per_thermal;
+    spec.zone_extent = opts_.zone_extent;
+    spec.max_levels = opts_.max_levels;
+    if (g == 0) spec.tail_zones = opts_.tail_zones;
+    for (int s : gb.species) {
+      spec.thermal_speeds.push_back(species_[s].thermal_speed());
+      species_grid_[static_cast<std::size_t>(s)] = static_cast<int>(g);
+    }
+    gb.forest = mesh::build_velocity_mesh(spec);
+    gb.fes = std::make_unique<fem::FESpace>(gb.forest, opts_.order);
+    gb.ip_offset = ip_total_;
+    ip_total_ += gb.fes->n_ips();
+  }
+
+  // --- state layout: species blocks in species order -----------------------
+  species_offsets_.resize(static_cast<std::size_t>(ns));
+  for (int s = 0; s < ns; ++s) {
+    species_offsets_[static_cast<std::size_t>(s)] = n_total_;
+    n_total_ += n_dofs(s);
+  }
+  LANDAU_INFO("LandauOperator: " << grids_.size() << " grid(s), " << ip_total_ << " IPs, "
+                                 << n_total_ << " equations, " << ns << " species, backend "
+                                 << backend_name(opts_.backend));
+
   // Host-assembled mass matrix with the full block sparsity (its first CPU
   // assembly fixes the pattern metadata the GPU assemblies then reuse).
   mass_ = new_matrix();
-  {
-    la::SparsityPattern single = fes_->sparsity();
-    la::CsrMatrix m1(single);
-    fes_->assemble_mass(m1);
-    for (int s = 0; s < n_species(); ++s) {
-      const std::size_t off = static_cast<std::size_t>(s) * n_dofs_per_species();
-      auto rowptr = m1.row_offsets();
-      auto colind = m1.col_indices();
+  for (const auto& g : grids_) {
+    la::CsrMatrix m1(g.fes->sparsity());
+    g.fes->assemble_mass(m1);
+    auto rowptr = m1.row_offsets();
+    auto colind = m1.col_indices();
+    for (int s : g.species) {
+      const std::size_t off = species_offsets_[static_cast<std::size_t>(s)];
       for (std::size_t i = 0; i < m1.rows(); ++i)
         for (std::int32_t k = rowptr[i]; k < rowptr[i + 1]; ++k)
           mass_.add(off + i, off + static_cast<std::size_t>(colind[k]), m1.values()[k]);
@@ -83,14 +117,20 @@ LandauOperator::LandauOperator(SpeciesSet species, LandauOptions opts)
   }
 }
 
+const GridBlock& LandauOperator::only_grid() const {
+  LANDAU_ASSERT(grids_.size() == 1,
+                "this operator has " << grids_.size() << " grids: use grid(g) and n_dofs(s)");
+  return grids_.front();
+}
+
 std::span<double> LandauOperator::block(la::Vec& v, int s) const {
-  LANDAU_ASSERT(v.size() == n_total(), "state vector size mismatch");
-  return {v.data() + static_cast<std::size_t>(s) * n_dofs_per_species(), n_dofs_per_species()};
+  LANDAU_ASSERT(v.size() == n_total_, "state vector size mismatch");
+  return {v.data() + species_offsets_[static_cast<std::size_t>(s)], n_dofs(s)};
 }
 
 std::span<const double> LandauOperator::block(const la::Vec& v, int s) const {
-  LANDAU_ASSERT(v.size() == n_total(), "state vector size mismatch");
-  return {v.data() + static_cast<std::size_t>(s) * n_dofs_per_species(), n_dofs_per_species()};
+  LANDAU_ASSERT(v.size() == n_total_, "state vector size mismatch");
+  return {v.data() + species_offsets_[static_cast<std::size_t>(s)], n_dofs(s)};
 }
 
 la::Vec LandauOperator::maxwellian_state(std::span<const double> drifts_z) const {
@@ -101,29 +141,50 @@ la::Vec LandauOperator::maxwellian_state(std::span<const double> drifts_z) const
 }
 
 la::Vec LandauOperator::project(const std::function<double(int, double, double)>& f) const {
-  la::Vec state(n_total());
+  la::Vec state(n_total_);
   for (int s = 0; s < n_species(); ++s) {
-    la::Vec b = fes_->interpolate([&](double r, double z) { return f(s, r, z); });
+    la::Vec b = space_of(s).interpolate([&](double r, double z) { return f(s, r, z); });
     std::copy(b.begin(), b.end(), block(state, s).begin());
   }
   return state;
 }
 
 la::CsrMatrix LandauOperator::new_matrix() const {
-  return la::CsrMatrix(landau_jacobian_sparsity(*fes_, n_species()));
+  la::SparsityPattern pattern(n_total_, n_total_);
+  for (const auto& g : grids_) {
+    for (std::size_t c = 0; c < g.fes->n_cells(); ++c) {
+      const auto dofs = g.fes->dofmap().cell_free_dofs(c);
+      for (int s : g.species) {
+        const std::size_t off = species_offsets_[static_cast<std::size_t>(s)];
+        for (auto di : dofs)
+          for (auto dj : dofs)
+            pattern.add(off + static_cast<std::size_t>(di), off + static_cast<std::size_t>(dj));
+      }
+    }
+  }
+  pattern.compress();
+  return la::CsrMatrix(pattern);
 }
 
 void LandauOperator::pack(const la::Vec& state) {
   ScopedEvent ev("landau:pack");
-  std::vector<la::Vec> blocks;
-  blocks.reserve(static_cast<std::size_t>(n_species()));
-  for (int s = 0; s < n_species(); ++s) {
-    auto b = block(state, s);
-    blocks.emplace_back(std::vector<double>(b.begin(), b.end()));
+  ip_.resize(n_species(), ip_total_);
+  for (const auto& g : grids_) {
+    const std::size_t n = g.fes->n_ips();
+    const std::size_t off = g.ip_offset;
+    g.fes->ip_coordinates({ip_.r.data() + off, n}, {ip_.z.data() + off, n},
+                          {ip_.w.data() + off, n});
+    // Fold the cylindrical factor r into the packed weight (dvbar rbar in
+    // eqs. 7-8; the same weight serves the outer integral's dv r).
+    for (std::size_t j = off; j < off + n; ++j) ip_.w[j] *= ip_.r[j];
+    // Species on this grid evaluate; all others stay zero here, so the
+    // flattened inner loop integrates exactly the union of the grids.
+    for (int s : g.species) {
+      const std::size_t soff = static_cast<std::size_t>(s) * ip_total_ + off;
+      g.fes->eval_at_ips(block(state, s), {ip_.f.data() + soff, n}, {ip_.dfr.data() + soff, n},
+                         {ip_.dfz.data() + soff, n});
+    }
   }
-  pack_ip_data(*fes_, blocks, &ip_);
-  ctx_.init(*fes_, species_, ip_);
-  ctx_.atomic_assembly = opts_.atomic_assembly;
   if (robustness().paranoid) {
     // Operator-boundary audit: the packed values/gradients are the inputs the
     // Landau coefficients D(f), K(f) are integrated from — a NaN here poisons
@@ -133,10 +194,22 @@ void LandauOperator::pack(const la::Vec& state) {
   }
 }
 
+JacobianContext LandauOperator::make_context(int g) const {
+  const GridBlock& gb = grid(g);
+  JacobianContext ctx;
+  ctx.init(*gb.fes, species_, ip_);
+  ctx.atomic_assembly = opts_.atomic_assembly;
+  ctx.ip_offset = gb.ip_offset;
+  ctx.grid_species = &gb.species;
+  ctx.species_offsets = &species_offsets_;
+  return ctx;
+}
+
 void LandauOperator::add_collision(la::CsrMatrix& j, exec::KernelCounters* counters) {
   LANDAU_ASSERT(ip_.n > 0, "pack() a state before assembling the collision operator");
   ScopedEvent ev("landau:matrix");
-  assemble_landau_jacobian(opts_.backend, *pool_, ctx_, j, counters);
+  for (int g = 0; g < n_grids(); ++g)
+    assemble_landau_jacobian(opts_.backend, *pool_, make_context(g), j, counters);
   if (robustness().paranoid)
     LANDAU_ASSERT(j.all_finite(),
                   "paranoid: non-finite entries in the assembled collision matrix");
@@ -144,44 +217,47 @@ void LandauOperator::add_collision(la::CsrMatrix& j, exec::KernelCounters* count
 
 void LandauOperator::add_advection(la::CsrMatrix& j, double e_z) const {
   ScopedEvent ev("landau:advection");
-  assemble_advection(ctx_, e_z, j);
+  for (int g = 0; g < n_grids(); ++g) assemble_advection(make_context(g), e_z, j);
 }
 
 void LandauOperator::add_mass_kernel(la::CsrMatrix& j, double shift,
                                      exec::KernelCounters* counters) {
   LANDAU_ASSERT(ip_.n > 0, "pack() a state before the mass kernel (weights live in IP data)");
-  assemble_mass_kernel(*pool_, ctx_, shift, j, counters);
+  for (int g = 0; g < n_grids(); ++g)
+    assemble_mass_kernel(*pool_, make_context(g), shift, j, counters);
 }
 
 LandauOperator::Moments LandauOperator::moments(const la::Vec& state, int s) const {
   auto b = block(state, s);
+  const auto& fes = space_of(s);
   Moments m;
-  m.density = fes_->moment(b, [](double, double) { return 1.0; });
-  m.momentum_z = species_[s].mass * fes_->moment(b, [](double, double z) { return z; });
+  m.density = fes.moment(b, [](double, double) { return 1.0; });
+  m.momentum_z = species_[s].mass * fes.moment(b, [](double, double z) { return z; });
   m.energy =
-      0.5 * species_[s].mass * fes_->moment(b, [](double r, double z) { return r * r + z * z; });
+      0.5 * species_[s].mass * fes.moment(b, [](double r, double z) { return r * r + z * z; });
   return m;
 }
 
 double LandauOperator::current_z(const la::Vec& state) const {
   double j = 0.0;
   for (int s = 0; s < n_species(); ++s)
-    j += species_[s].charge * fes_->moment(block(state, s), [](double, double z) { return z; });
+    j += species_[s].charge * space_of(s).moment(block(state, s), [](double, double z) { return z; });
   return j;
 }
 
 double LandauOperator::electron_temperature(const la::Vec& state) const {
   auto b = block(state, 0);
-  const double n = fes_->moment(b, [](double, double) { return 1.0; });
+  const auto& fes = space_of(0);
+  const double n = fes.moment(b, [](double, double) { return 1.0; });
   if (n <= 0) return 0.0;
-  const double uz = fes_->moment(b, [](double, double z) { return z; }) / n;
-  const double v2 = fes_->moment(b, [](double r, double z) { return r * r + z * z; }) / n;
+  const double uz = fes.moment(b, [](double, double z) { return z; }) / n;
+  const double v2 = fes.moment(b, [](double r, double z) { return r * r + z * z; }) / n;
   // T/T_e0 = (4/pi) m (2/3) <(v-u)^2> with m = 1 for electrons.
   return (4.0 / kPi) * species_[0].mass * (2.0 / 3.0) * (v2 - uz * uz);
 }
 
 double LandauOperator::electron_density(const la::Vec& state) const {
-  return fes_->moment(block(state, 0), [](double, double) { return 1.0; });
+  return space_of(0).moment(block(state, 0), [](double, double) { return 1.0; });
 }
 
 } // namespace landau

@@ -1,17 +1,30 @@
 #pragma once
 // LandauOperator — the public entry point of the library: a multi-species
-// Landau collision operator on an adaptively refined axisymmetric velocity
-// grid, with pluggable execution back-ends. Owns the mesh, FE space, packed
-// integration-point data, mass matrix, and the worker pool that plays the
-// GPU in the emulated execution model.
+// Landau collision operator on adaptively refined axisymmetric velocity
+// grids, with pluggable execution back-ends. Owns the meshes, FE spaces,
+// packed integration-point data, mass matrix, and the worker pool that
+// plays the GPU in the emulated execution model.
 //
-// The state vector concatenates the species' free-dof blocks
-// (species-major), so every assembled operator is block diagonal (§III):
+// Species are clustered by thermal speed (§III-H: species within a factor of
+// ~2 "can, and should, share a grid") and each cluster gets its own velocity
+// mesh scaled to its thermal scale. The default clustering ratio is
+// infinite: every species shares one grid. The collision integral couples
+// every pair of species: the inner integral runs over the concatenated
+// integration points of all grids (a species' values are nonzero only on its
+// own grid's points), while the outer element loop and the assembled blocks
+// are per grid. The tensor identities that conserve density, z-momentum and
+// energy on one grid hold across grids too: the double sum contains both
+// (i in A, j in B) and (i in B, j in A) with the same weights.
+//
+// The state vector concatenates the species' free-dof blocks in species
+// order, so every assembled operator is block diagonal (§III); on one grid
 // the nonzero pattern is I_S (x) A_1.
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "core/ip_data.h"
 #include "core/jacobian.h"
@@ -29,7 +42,7 @@ namespace landau {
 
 struct LandauOptions {
   int order = 3;                 // Qk element order (paper: Q3)
-  double radius = 5.0;           // domain half-size, units of v0
+  double radius = 5.0;           // domain half-size of the fastest grid, units of v0
   int base_levels = 1;           // uniform refinement of the 1x2 root forest
   double cells_per_thermal = 1.0;
   double zone_extent = 3.0;      // refined zone in thermal radii
@@ -38,29 +51,52 @@ struct LandauOptions {
   bool atomic_assembly = true;
   unsigned n_workers = 0;        // exec-model workers ("SMs"); 0 = inline
 
-  /// Extra refined strips for runaway-electron tails (§III-B).
+  /// Extra refined strips for runaway-electron tails (§III-B), on the
+  /// fastest grid.
   std::vector<mesh::VelocityMeshSpec::TailZone> tail_zones;
 
   /// Read overrides from a -landau_* option database.
   static LandauOptions from_options(Options& opts);
 };
 
+/// One velocity grid holding a cluster of species.
+struct GridBlock {
+  std::vector<int> species;   // global species indices on this grid, ascending
+  double radius = 0.0;        // domain half-size (scaled to the cluster)
+  mesh::Forest forest;
+  std::unique_ptr<fem::FESpace> fes;
+  std::size_t ip_offset = 0;  // start of this grid's points in the IP arrays
+
+  GridBlock() : forest(mesh::Box{0, -1, 1, 1}, 1, 2) {}
+};
+
 class LandauOperator : public CollisionOperatorBase {
 public:
-  explicit LandauOperator(SpeciesSet species, LandauOptions opts = {});
+  /// Cluster species whose thermal speeds are within `cluster_ratio` of the
+  /// cluster's fastest member and build one scaled grid per cluster. The
+  /// fastest grid has half-size opts.radius; slower grids shrink by their
+  /// fastest member's thermal speed relative to the fastest species.
+  explicit LandauOperator(SpeciesSet species, LandauOptions opts = {},
+                          double cluster_ratio = std::numeric_limits<double>::infinity());
 
   const SpeciesSet& species() const { return species_; }
   const LandauOptions& options() const { return opts_; }
-  const mesh::Forest& forest() const { return forest_; }
-  const fem::FESpace& space() const { return *fes_; }
-  exec::ThreadPool& pool() { return *pool_; }
   exec::ThreadPool& worker_pool() override { return *pool_; }
 
   int n_species() const { return species_.size(); }
-  std::size_t n_dofs_per_species() const { return fes_->n_dofs(); }
-  std::size_t n_total() const override {
-    return n_dofs_per_species() * static_cast<std::size_t>(n_species());
-  }
+  int n_grids() const { return static_cast<int>(grids_.size()); }
+  const GridBlock& grid(int g) const { return grids_[static_cast<std::size_t>(g)]; }
+  int grid_of_species(int s) const { return species_grid_[static_cast<std::size_t>(s)]; }
+
+  /// The single grid's mesh, FE space and per-species dof count; these throw
+  /// on a multi-grid operator (use grid(g) and n_dofs(s) there).
+  const mesh::Forest& forest() const { return only_grid().forest; }
+  const fem::FESpace& space() const { return *only_grid().fes; }
+  std::size_t n_dofs_per_species() const { return space().n_dofs(); }
+
+  std::size_t n_total() const override { return n_total_; }
+  std::size_t n_dofs(int s) const { return space_of(s).n_dofs(); }
+  std::size_t n_ips_total() const { return ip_total_; }
 
   /// The free-dof block of species s within a full state vector.
   std::span<double> block(la::Vec& v, int s) const;
@@ -101,6 +137,7 @@ public:
     double momentum_z = 0; // m \int v_z f dmu
     double energy = 0;     // (m/2) \int v^2 f dmu
   };
+  /// Moments of species s (computed on its own grid).
   Moments moments(const la::Vec& state, int s) const;
 
   /// Total current J_z = sum_s q_s \int v_z f_s.
@@ -111,14 +148,20 @@ public:
   double electron_density(const la::Vec& state) const;
 
 private:
+  const GridBlock& only_grid() const;
+  const fem::FESpace& space_of(int s) const { return *grid(grid_of_species(s)).fes; }
+  JacobianContext make_context(int g) const;
+
   SpeciesSet species_;
   LandauOptions opts_;
-  mesh::Forest forest_;
-  std::unique_ptr<fem::FESpace> fes_;
+  std::vector<GridBlock> grids_;
+  std::vector<int> species_grid_;
+  std::vector<std::size_t> species_offsets_; // state offset per species
+  std::size_t n_total_ = 0;
+  std::size_t ip_total_ = 0;
   std::unique_ptr<exec::ThreadPool> pool_;
   la::CsrMatrix mass_;
   IPData ip_;
-  JacobianContext ctx_;
 };
 
 } // namespace landau

@@ -1,6 +1,6 @@
 #include "exec/thread_pool.h"
 
-#include <atomic>
+#include <exception>
 
 namespace landau::exec {
 
@@ -47,14 +47,25 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
   // assignment deterministic, matching the grid-strided dispatch on a GPU.
   const std::size_t w = workers_.size();
   const std::size_t chunk = (n + w - 1) / w;
+  // A throwing task must not unwind a worker thread (that terminates the
+  // process): keep the first exception and rethrow it here once every chunk
+  // has finished.
+  std::exception_ptr error;
+  std::mutex error_mutex;
   for (std::size_t c = 0; c * chunk < n; ++c) {
     const std::size_t begin = c * chunk;
     const std::size_t end = std::min(n, begin + chunk);
-    submit([begin, end, &fn] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
+    submit([begin, end, &fn, &error, &error_mutex] {
+      try {
+        for (std::size_t i = begin; i < end; ++i) fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (!error) error = std::current_exception();
+      }
     });
   }
   wait_idle();
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::worker_loop() {

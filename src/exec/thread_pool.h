@@ -33,6 +33,9 @@ public:
   void wait_idle();
 
   /// Run fn(i) for i in [0, n), distributing across workers; blocks until done.
+  /// If fn throws, the first exception is rethrown on the calling thread
+  /// after all tasks have finished (the rest of the throwing task's chunk is
+  /// skipped).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
 private:

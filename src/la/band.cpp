@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
-#include <mutex>
 
 #include "la/rcm.h"
 #include "util/error.h"
@@ -194,22 +192,12 @@ namespace {
 
 /// Run fn(block_index) for every block — batched over the pool when one is
 /// available (one task per block, the host mirror of the device batch),
-/// serially otherwise. Exceptions from workers (e.g. a zero pivot) are
-/// rethrown on the calling thread.
+/// serially otherwise. The pool rethrows a worker's exception (e.g. a zero
+/// pivot) on the calling thread.
 template <class F>
 void dispatch_blocks(exec::ThreadPool* pool, std::size_t n, F&& fn) {
   if (pool != nullptr && pool->n_workers() > 1 && n > 1) {
-    std::exception_ptr err;
-    std::mutex err_mutex;
-    pool->parallel_for(n, [&](std::size_t bi) {
-      try {
-        fn(bi);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(err_mutex);
-        if (!err) err = std::current_exception();
-      }
-    });
-    if (err) std::rethrow_exception(err);
+    pool->parallel_for(n, fn);
     return;
   }
   for (std::size_t bi = 0; bi < n; ++bi) fn(bi);
@@ -218,7 +206,7 @@ void dispatch_blocks(exec::ThreadPool* pool, std::size_t n, F&& fn) {
 } // namespace
 
 void BlockBandSolver::analyze(const CsrMatrix& a) {
-  perm_ = rcm_ordering(a);
+  perm_ = band_ordering(a);
   inv_ = invert_permutation(perm_);
   bandwidth_ = permuted_bandwidth(a, perm_);
 

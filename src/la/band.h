@@ -144,7 +144,8 @@ private:
 };
 
 /// Direct solver for the (possibly block-diagonal) Landau Jacobian:
-/// computes RCM once per pattern, detects diagonal blocks from graph
+/// computes the band ordering (band_ordering: RCM unless the natural order is
+/// narrower) once per pattern, detects diagonal blocks from graph
 /// components, factors each block as an independent banded LU — the species
 /// independence the CUDA band solver exploits with grid-group sync. With a
 /// worker pool the blocks factor and solve in batch (one task per block),

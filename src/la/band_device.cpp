@@ -39,7 +39,9 @@ void device_band_factor(exec::ThreadPool& pool, std::span<BandMatrix*> systems,
         // are independent and stride across the lanes.
         for (std::size_t k = 0; k < n; ++k) {
           const double piv = av[a.index(k, k)];
-          if (std::abs(piv) < 1e-300) LANDAU_THROW("zero pivot in device band LU at row " << k);
+          // Negated so NaN pivots throw too, as in BandMatrix::factor_lu.
+          if (!(std::abs(piv) >= 1e-300) || !std::isfinite(piv))
+            LANDAU_THROW("zero or non-finite pivot in device band LU at row " << k);
           const double inv = 1.0 / piv;
           const std::size_t imax = std::min(n - 1, k + lbw);
           const std::size_t jmax = std::min(n - 1, k + ubw);
@@ -134,7 +136,7 @@ void device_band_solve(exec::ThreadPool& pool, std::span<BandMatrix* const> syst
 }
 
 void DeviceBlockBandSolver::analyze(const CsrMatrix& a) {
-  perm_ = rcm_ordering(a);
+  perm_ = band_ordering(a);
   inv_ = invert_permutation(perm_);
   // Shared block discovery: validates that the ordering emits each graph
   // component contiguously (the host path's assertion) — a non-contiguous

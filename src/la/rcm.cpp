@@ -1,6 +1,7 @@
 #include "la/rcm.h"
 
 #include <algorithm>
+#include <numeric>
 #include <queue>
 
 namespace landau::la {
@@ -90,6 +91,18 @@ std::vector<std::int32_t> rcm_ordering(const CsrMatrix& a) {
   }
   std::reverse(order.begin(), order.end());
   return order;
+}
+
+std::vector<std::int32_t> band_ordering(const CsrMatrix& a) {
+  auto rcm = rcm_ordering(a);
+  std::vector<std::int32_t> natural(a.rows());
+  std::iota(natural.begin(), natural.end(), 0);
+  if (permuted_bandwidth(a, natural) >= permuted_bandwidth(a, rcm)) return rcm;
+  std::int32_t nc = 0;
+  const auto comp = connected_components(a, &nc);
+  std::int32_t runs = comp.empty() ? 0 : 1;
+  for (std::size_t i = 1; i < comp.size(); ++i) runs += comp[i] != comp[i - 1];
+  return runs == nc ? natural : rcm;
 }
 
 std::vector<std::int32_t> invert_permutation(const std::vector<std::int32_t>& perm) {

@@ -78,7 +78,7 @@ public:
   const LinearSolverOptions& linear_options() const { return lsopts_; }
   long total_newton_iterations() const { return newton_count_; }
 
-  /// Matrix bandwidth after RCM (diagnostic; valid once a step has run with
+  /// Matrix bandwidth after band ordering (diagnostic; valid once a step has run with
   /// the band solver).
   std::size_t band_bandwidth() const { return band_.bandwidth(); }
   std::size_t band_blocks() const { return band_.n_blocks(); }

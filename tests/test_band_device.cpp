@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include "la/band_device.h"
@@ -135,4 +136,40 @@ TEST(DeviceBand, CountersRecordFactorWork) {
   exec::KernelCounters counters;
   device_band_factor(pool, {&ptr, 1}, &counters);
   EXPECT_GT(counters.flops.load(), 0);
+}
+
+TEST(DeviceBand, NanMatrixFactorThrowsAndRefactorRecovers) {
+  // Mirrors BlockBandSolver.NanMatrixFactorThrowsAndRefactorRecovers on a
+  // two-worker pool: the NaN pivot throws on a worker, reaches the caller,
+  // and the solver refactors clean values afterwards.
+  const std::size_t blocks = 3, bn = 11, bw = 1;
+  SparsityPattern p(blocks * bn, blocks * bn);
+  for (std::size_t blk = 0; blk < blocks; ++blk)
+    for (std::size_t i = 0; i < bn; ++i)
+      for (std::size_t j = (i > bw ? i - bw : 0); j <= std::min(bn - 1, i + bw); ++j)
+        p.add(blk * bn + i, blk * bn + j);
+  p.compress();
+  CsrMatrix a(p);
+  std::mt19937 rng(53);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  for (std::size_t blk = 0; blk < blocks; ++blk)
+    for (std::size_t i = 0; i < bn; ++i)
+      for (std::size_t j = (i > bw ? i - bw : 0); j <= std::min(bn - 1, i + bw); ++j)
+        a.add(blk * bn + i, blk * bn + j, i == j ? 10.0 : dist(rng));
+
+  exec::ThreadPool pool(2);
+  DeviceBlockBandSolver solver(pool);
+  solver.analyze(a);
+
+  auto poisoned = a;
+  poisoned.values()[poisoned.values().size() / 2] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(solver.factor(poisoned), landau::Error);
+
+  solver.factor(a);
+  const std::size_t n = blocks * bn;
+  Vec xref(n), b(n), x(n);
+  for (std::size_t i = 0; i < n; ++i) xref[i] = 1.0 + 0.1 * static_cast<double>(i);
+  a.mult(xref, b);
+  solver.solve(b, x);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], xref[i], 1e-11);
 }

@@ -2,36 +2,30 @@
 
 #include <cmath>
 
-#include "core/ip_data.h"
-#include "fem/fespace.h"
-#include "mesh/refine.h"
+#include "core/operator.h"
 #include "util/special_math.h"
 
 using namespace landau;
 
 namespace {
 
-fem::FESpace make_space(mesh::Forest& forest_out) {
-  mesh::VelocityMeshSpec spec;
-  spec.radius = 4.0;
-  spec.thermal_speeds = {0.886};
-  spec.cells_per_thermal = 0.8;
-  spec.max_levels = 3;
-  forest_out = mesh::build_velocity_mesh(spec);
-  return fem::FESpace(forest_out, 3);
+/// One grid of radius 4 shared by `n_species` electron-like species.
+LandauOperator make_operator(int n_species) {
+  std::vector<Species> list(static_cast<std::size_t>(n_species), Species{.name = "e"});
+  LandauOptions opts;
+  opts.radius = 4.0;
+  opts.cells_per_thermal = 0.8;
+  opts.max_levels = 3;
+  return LandauOperator(SpeciesSet(std::move(list)), opts);
 }
 
 } // namespace
 
 TEST(IPData, PackLayoutAndSizes) {
-  mesh::Forest forest({0, -1, 1, 1}, 1, 2);
-  auto fes = make_space(forest);
-  la::Vec f1 = fes.interpolate([](double r, double z) { return r + z; });
-  la::Vec f2 = fes.interpolate([](double r, double z) { return r - z; });
-  std::vector<la::Vec> states = {f1, f2};
-  IPData ip;
-  pack_ip_data(fes, states, &ip);
-  EXPECT_EQ(ip.n, fes.n_ips());
+  auto op = make_operator(2);
+  op.pack(op.project([](int s, double r, double z) { return s == 0 ? r + z : r - z; }));
+  const IPData& ip = op.ip_data();
+  EXPECT_EQ(ip.n, op.space().n_ips());
   EXPECT_EQ(ip.n_species, 2);
   EXPECT_EQ(ip.f.size(), 2 * ip.n);
   EXPECT_GT(ip.bytes(), 0u);
@@ -39,12 +33,9 @@ TEST(IPData, PackLayoutAndSizes) {
 
 TEST(IPData, WeightsIncludeCylindricalFactor) {
   // sum_j w_j = \int r dr dz over the domain (measure without 2 pi).
-  mesh::Forest forest({0, -1, 1, 1}, 1, 2);
-  auto fes = make_space(forest);
-  la::Vec f = fes.interpolate([](double, double) { return 1.0; });
-  std::vector<la::Vec> states = {f};
-  IPData ip;
-  pack_ip_data(fes, states, &ip);
+  auto op = make_operator(1);
+  op.pack(op.project([](int, double, double) { return 1.0; }));
+  const IPData& ip = op.ip_data();
   double sum = 0;
   for (std::size_t j = 0; j < ip.n; ++j) sum += ip.w[j];
   // \int_0^4 r dr * \int_{-4}^{4} dz = 8 * 8 = 64.
@@ -52,13 +43,10 @@ TEST(IPData, WeightsIncludeCylindricalFactor) {
 }
 
 TEST(IPData, ValuesAndGradientsMatchFunction) {
-  mesh::Forest forest({0, -1, 1, 1}, 1, 2);
-  auto fes = make_space(forest);
+  auto op = make_operator(1);
   auto fn = [](double r, double z) { return r * r - 0.5 * z * r + 2.0; };
-  la::Vec f = fes.interpolate(fn);
-  std::vector<la::Vec> states = {f};
-  IPData ip;
-  pack_ip_data(fes, states, &ip);
+  op.pack(op.project([&](int, double r, double z) { return fn(r, z); }));
+  const IPData& ip = op.ip_data();
   for (std::size_t j = 0; j < ip.n; ++j) {
     EXPECT_NEAR(ip.f_at(0, j), fn(ip.r[j], ip.z[j]), 1e-10);
     EXPECT_NEAR(ip.dfr_at(0, j), 2 * ip.r[j] - 0.5 * ip.z[j], 1e-9);
@@ -67,13 +55,9 @@ TEST(IPData, ValuesAndGradientsMatchFunction) {
 }
 
 TEST(IPData, SpeciesMajorAddressing) {
-  mesh::Forest forest({0, -1, 1, 1}, 1, 2);
-  auto fes = make_space(forest);
-  la::Vec a = fes.interpolate([](double, double) { return 3.0; });
-  la::Vec b = fes.interpolate([](double, double) { return 7.0; });
-  std::vector<la::Vec> states = {a, b};
-  IPData ip;
-  pack_ip_data(fes, states, &ip);
+  auto op = make_operator(2);
+  op.pack(op.project([](int s, double, double) { return s == 0 ? 3.0 : 7.0; }));
+  const IPData& ip = op.ip_data();
   for (std::size_t j = 0; j < ip.n; j += 7) {
     EXPECT_NEAR(ip.f_at(0, j), 3.0, 1e-12);
     EXPECT_NEAR(ip.f_at(1, j), 7.0, 1e-12);
@@ -81,9 +65,6 @@ TEST(IPData, SpeciesMajorAddressing) {
 }
 
 TEST(IPData, MismatchedStateSizeThrows) {
-  mesh::Forest forest({0, -1, 1, 1}, 1, 2);
-  auto fes = make_space(forest);
-  std::vector<la::Vec> states = {la::Vec(3)};
-  IPData ip;
-  EXPECT_THROW(pack_ip_data(fes, states, &ip), landau::Error);
+  auto op = make_operator(1);
+  EXPECT_THROW(op.pack(la::Vec(3)), landau::Error);
 }

@@ -4,9 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
-#include "core/multigrid.h"
+#include "core/operator.h"
 #include "solver/implicit.h"
 #include "util/special_math.h"
 
@@ -36,7 +37,7 @@ SpeciesSet two_cluster_species() {
 } // namespace
 
 TEST(MultiGrid, ClustersByThermalSpeed) {
-  MultiGridLandauOperator op(two_cluster_species(), mg_opts());
+  LandauOperator op(two_cluster_species(), mg_opts(), 2.0);
   EXPECT_EQ(op.n_grids(), 2);
   EXPECT_NE(op.grid_of_species(0), op.grid_of_species(1));
   // The ion grid is scaled down by the thermal-speed ratio (6x here).
@@ -49,14 +50,57 @@ TEST(MultiGrid, SimilarSpeciesShareAGrid) {
   SpeciesSet sp({{.name = "e", .mass = 1.0, .charge = -1.0, .density = 1.0, .temperature = 1.0},
                  {.name = "e2", .mass = 1.5, .charge = -1.0, .density = 0.5, .temperature = 1.0},
                  {.name = "i", .mass = 100.0, .charge = 2.0, .density = 0.75, .temperature = 1.0}});
-  MultiGridLandauOperator op(sp, mg_opts());
+  LandauOperator op(sp, mg_opts(), 2.0);
   EXPECT_EQ(op.n_grids(), 2);
   EXPECT_EQ(op.grid_of_species(0), op.grid_of_species(1)); // within 2x
   EXPECT_NE(op.grid_of_species(0), op.grid_of_species(2));
 }
 
+TEST(MultiGrid, OneClusterMatchesSingleGridBitwise) {
+  // Species within one 2x thermal-speed cluster: the clustered operator is
+  // the default one-grid operator bit for bit — mesh, mass and collision
+  // matrix — because the fastest grid keeps opts.radius exactly.
+  SpeciesSet sp({{.name = "e", .mass = 1.0, .charge = -1.0, .density = 1.0, .temperature = 1.0},
+                 {.name = "e2", .mass = 1.5, .charge = -1.0, .density = 0.5, .temperature = 1.0}});
+  auto opts = mg_opts();
+  opts.n_workers = 0;
+  LandauOperator one(sp, opts);
+  LandauOperator clustered(sp, opts, 2.0);
+  ASSERT_EQ(clustered.n_grids(), 1);
+  EXPECT_EQ(clustered.grid(0).radius, 4.0);
+
+  const auto& cells = one.forest().leaves();
+  const auto& clustered_cells = clustered.forest().leaves();
+  ASSERT_EQ(cells.size(), clustered_cells.size());
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const mesh::Box& a = cells[c].box;
+    const mesh::Box& b = clustered_cells[c].box;
+    EXPECT_TRUE(a.x0 == b.x0 && a.y0 == b.y0 && a.x1 == b.x1 && a.y1 == b.y1) << "cell " << c;
+  }
+
+  auto expect_bitwise_equal = [](const la::CsrMatrix& a, const la::CsrMatrix& b) {
+    ASSERT_EQ(a.nnz(), b.nnz());
+    EXPECT_TRUE(std::equal(a.row_offsets().begin(), a.row_offsets().end(),
+                           b.row_offsets().begin()));
+    EXPECT_TRUE(std::equal(a.col_indices().begin(), a.col_indices().end(),
+                           b.col_indices().begin()));
+    for (std::size_t k = 0; k < a.nnz(); ++k) EXPECT_EQ(a.values()[k], b.values()[k]) << k;
+  };
+  expect_bitwise_equal(one.mass(), clustered.mass());
+
+  const double drifts[2] = {0.3, 0.0};
+  const la::Vec f = one.maxwellian_state(drifts);
+  one.pack(f);
+  clustered.pack(f);
+  la::CsrMatrix ja = one.new_matrix();
+  la::CsrMatrix jb = clustered.new_matrix();
+  one.add_collision(ja);
+  clustered.add_collision(jb);
+  expect_bitwise_equal(ja, jb);
+}
+
 TEST(MultiGrid, MaxwellianMomentsPerGrid) {
-  MultiGridLandauOperator op(two_cluster_species(), mg_opts());
+  LandauOperator op(two_cluster_species(), mg_opts(), 2.0);
   la::Vec f = op.maxwellian_state();
   for (int s = 0; s < 2; ++s) {
     const auto m = op.moments(f, s);
@@ -68,7 +112,7 @@ TEST(MultiGrid, MaxwellianMomentsPerGrid) {
 }
 
 TEST(MultiGrid, MatrixIsBlockDiagonalPerSpecies) {
-  MultiGridLandauOperator op(two_cluster_species(), mg_opts());
+  LandauOperator op(two_cluster_species(), mg_opts(), 2.0);
   la::Vec f = op.maxwellian_state();
   op.pack(f);
   la::CsrMatrix j = op.new_matrix();
@@ -88,7 +132,7 @@ TEST(MultiGrid, MatrixIsBlockDiagonalPerSpecies) {
 TEST(MultiGrid, CrossGridCollisionsCoupleSpecies) {
   // The e-i friction must act across grids: drifting electrons on grid A
   // must exchange momentum with ions on grid B.
-  MultiGridLandauOperator op(two_cluster_species(), mg_opts());
+  LandauOperator op(two_cluster_species(), mg_opts(), 2.0);
   NewtonOptions loose;
   loose.rtol = 1e-8;
   ImplicitIntegrator integrator(op, loose);
@@ -117,7 +161,7 @@ TEST(MultiGrid, ConservationAcrossGrids) {
   // Density per species, total z-momentum and total energy are conserved to
   // solver tolerance even though the species live on different grids — the
   // tensor identities pair (i in A, j in B) with (i in B, j in A).
-  MultiGridLandauOperator op(two_cluster_species(), mg_opts());
+  LandauOperator op(two_cluster_species(), mg_opts(), 2.0);
   NewtonOptions tight;
   tight.rtol = 1e-10;
   ImplicitIntegrator integrator(op, tight);
@@ -150,7 +194,7 @@ TEST(MultiGrid, FewerEquationsThanSharedGrid) {
   auto species = two_cluster_species();
   auto opts = mg_opts();
   opts.max_levels = 6;
-  MultiGridLandauOperator mg(species, opts);
+  LandauOperator mg(species, opts, 2.0);
   LandauOperator shared(species, opts);
   EXPECT_LT(mg.n_total(), shared.n_total());
   // And each species is still resolved: its grid's smallest cell fits vth.

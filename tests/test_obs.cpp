@@ -12,7 +12,9 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <string>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -38,6 +40,12 @@ struct TracerGuard {
     obs::Tracer::instance().clear();
   }
 };
+
+/// Per-process scratch file: the Obs cases are registered twice (plain and
+/// `analysis.`), and the two copies may run at once under ctest -j.
+std::string scratch_path(const std::string& name) {
+  return testing::TempDir() + std::to_string(::getpid()) + "_" + name;
+}
 
 LandauOperator make_small_op() {
   auto species = SpeciesSet::electron_deuterium();
@@ -293,7 +301,7 @@ TEST(ObsRoofline, PlacementMath) {
 // ---------------------------------------------------------------------------
 
 TEST(ObsStepLog, QuenchRunWritesSchemaCompliantNdjson) {
-  const std::string path = "test_obs_steplog.ndjson";
+  const std::string path = scratch_path("test_obs_steplog.ndjson");
   auto& log = obs::StepLog::instance();
   log.set_path(path);
   ASSERT_TRUE(log.active());
@@ -374,17 +382,20 @@ TEST(ObsBenchCompare, SyntheticRegressionGating) {
 
   EXPECT_EQ(run_cmd("python3 " + script + " --self-test > /dev/null 2>&1"), 0);
 
-  write_bench_json("obs_bench_base.json", 100.0, 10.0);
-  write_bench_json("obs_bench_ok.json", 95.0, 10.4); // within the 10% noise band
-  write_bench_json("obs_bench_bad.json", 80.0, 10.0); // 20% throughput regression
+  const std::string base = scratch_path("obs_bench_base.json");
+  const std::string ok = scratch_path("obs_bench_ok.json");
+  const std::string bad = scratch_path("obs_bench_bad.json");
+  write_bench_json(base, 100.0, 10.0);
+  write_bench_json(ok, 95.0, 10.4); // within the 10% noise band
+  write_bench_json(bad, 80.0, 10.0); // 20% throughput regression
 
-  const std::string compare = "python3 " + script + " obs_bench_base.json ";
-  EXPECT_EQ(run_cmd(compare + "obs_bench_ok.json > /dev/null 2>&1"), 0);
-  EXPECT_NE(run_cmd(compare + "obs_bench_bad.json > /dev/null 2>&1"), 0);
+  const std::string compare = "python3 " + script + " " + base + " ";
+  EXPECT_EQ(run_cmd(compare + ok + " > /dev/null 2>&1"), 0);
+  EXPECT_NE(run_cmd(compare + bad + " > /dev/null 2>&1"), 0);
   // A tighter threshold flags the within-noise diff too.
-  EXPECT_NE(run_cmd(compare + "obs_bench_ok.json --threshold 2 > /dev/null 2>&1"), 0);
+  EXPECT_NE(run_cmd(compare + ok + " --threshold 2 > /dev/null 2>&1"), 0);
 
-  std::remove("obs_bench_base.json");
-  std::remove("obs_bench_ok.json");
-  std::remove("obs_bench_bad.json");
+  std::remove(base.c_str());
+  std::remove(ok.c_str());
+  std::remove(bad.c_str());
 }

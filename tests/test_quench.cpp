@@ -26,7 +26,7 @@ LandauOperator make_op() {
   opts.base_levels = 1;
   opts.cells_per_thermal = 0.8;
   opts.max_levels = 5;
-  opts.n_workers = 2;
+  opts.n_workers = 4;
   return LandauOperator(species, opts);
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <numeric>
 #include <random>
 
 #include "la/band.h"
@@ -47,6 +49,35 @@ CsrMatrix block_matrix(std::size_t blocks, std::size_t block_n, std::size_t bw, 
   return a;
 }
 
+/// 27-point stencil on a k^3 grid numbered plane by plane (the uniform 3-D
+/// velocity mesh's coupling), with `isolated` diagonal-only rows inserted at
+/// the given positions of the numbering.
+CsrMatrix grid27(std::size_t k, const std::vector<std::size_t>& isolated = {}) {
+  const std::size_t n = k * k * k + isolated.size();
+  std::vector<std::size_t> id; // grid node -> row
+  for (std::size_t r = 0; r < n; ++r)
+    if (std::find(isolated.begin(), isolated.end(), r) == isolated.end()) id.push_back(r);
+  SparsityPattern p(n, n);
+  for (std::size_t r : isolated) p.add(r, r);
+  const auto node = [k](std::size_t x, std::size_t y, std::size_t z) { return (z * k + y) * k + x; };
+  for (std::size_t z = 0; z < k; ++z)
+    for (std::size_t y = 0; y < k; ++y)
+      for (std::size_t x = 0; x < k; ++x)
+        for (std::size_t c = 0; c < 27; ++c) {
+          const std::size_t nx = x + c % 3, ny = y + c / 3 % 3, nz = z + c / 9; // offsets -1..1, shifted by 1
+          if (nx == 0 || ny == 0 || nz == 0 || nx > k || ny > k || nz > k) continue;
+          p.add(id[node(x, y, z)], id[node(nx - 1, ny - 1, nz - 1)]);
+        }
+  p.compress();
+  return CsrMatrix(p);
+}
+
+std::vector<std::int32_t> identity_order(std::size_t n) {
+  std::vector<std::int32_t> id(n);
+  std::iota(id.begin(), id.end(), 0);
+  return id;
+}
+
 } // namespace
 
 TEST(Rcm, PermutationIsValid) {
@@ -82,6 +113,31 @@ TEST(Rcm, DetectsSpeciesBlocksAsComponents) {
   EXPECT_EQ(nc, 10);
   EXPECT_EQ(comp[0], comp[18]);
   EXPECT_NE(comp[0], comp[19]);
+}
+
+TEST(Rcm, BandOrderingKeepsNaturalOrderOnlyWhenNarrowerAndContiguous) {
+  // On the plane-by-plane 3-D grid RCM's corner-rooted level sets are wider
+  // than a plane, so the band solvers keep the natural numbering.
+  const auto a = grid27(6);
+  const auto natural = identity_order(a.rows());
+  ASSERT_LT(permuted_bandwidth(a, natural), permuted_bandwidth(a, rcm_ordering(a)));
+  EXPECT_EQ(band_ordering(a), natural);
+
+  // Scrambled, the natural numbering is wide: RCM is kept.
+  std::vector<std::int32_t> shuffle = natural;
+  std::shuffle(shuffle.begin(), shuffle.end(), std::mt19937(7));
+  const auto scrambled = permute_symmetric(a, shuffle);
+  EXPECT_EQ(band_ordering(scrambled), rcm_ordering(scrambled));
+
+  // An isolated row inside the numbering splits the grid's component in two
+  // runs: still narrower than RCM, but block discovery needs RCM's
+  // contiguous components.
+  const auto split = grid27(6, {100});
+  const auto split_natural = identity_order(split.rows());
+  ASSERT_LT(permuted_bandwidth(split, split_natural),
+            permuted_bandwidth(split, rcm_ordering(split)));
+  EXPECT_EQ(band_ordering(split), rcm_ordering(split));
+  EXPECT_EQ(discover_blocks(split, band_ordering(split)).size(), 2u);
 }
 
 TEST(Band, InBandPredicate) {

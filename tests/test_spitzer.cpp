@@ -59,7 +59,7 @@ TEST(SpitzerVerification, ComputedResistivityNearSpitzerZ1) {
   opts.base_levels = 1;
   opts.cells_per_thermal = 0.9;
   opts.max_levels = 5;
-  opts.n_workers = 1;
+  opts.n_workers = 4; // the Jacobian kernel dominates; spread its cells over 4 SMs
   LandauOperator op(species, opts);
   // Sanity: the smallest cell resolves the ion thermal speed.
   double hmin = 1e30;

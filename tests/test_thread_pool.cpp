@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "exec/thread_pool.h"
@@ -44,4 +45,22 @@ TEST(ThreadPool, ReusableAcrossRounds) {
   for (int round = 0; round < 5; ++round)
     pool.parallel_for(100, [&](std::size_t i) { sum.fetch_add(static_cast<long>(i)); });
   EXPECT_EQ(sum.load(), 5 * (99 * 100 / 2));
+}
+
+TEST(ThreadPool, ParallelForRethrowsTaskExceptionOnCaller) {
+  // A task throwing on a worker thread must reach the caller instead of
+  // terminating the process, and only once every other task has finished.
+  ThreadPool pool(2);
+  std::atomic<int> done{0};
+  EXPECT_THROW(pool.parallel_for(8,
+                                 [&](std::size_t i) {
+                                   if (i == 7) throw std::runtime_error("task failed");
+                                   done.fetch_add(1);
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(done.load(), 7);
+  // The pool stays usable afterwards.
+  std::atomic<int> count{0};
+  pool.parallel_for(10, [&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 10);
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full verification matrix: tier-1 tests, the three sanitizer builds over the
-# concurrency-sensitive subset, the device memory-model checker validation
-# suite (with the checker force-enabled through the environment), the
-# telemetry stage (a short traced quench run whose Chrome-trace JSON and
+# concurrency-sensitive suites (ctest -L sanitize of the one test binary),
+# the device memory-model checker validation suite (with the checker
+# force-enabled through the environment), the telemetry stage (a short traced quench run whose Chrome-trace JSON and
 # NDJSON step log are schema-validated, plus the bench_compare self-test),
 # and the static stage: landau-lint over the annotated kernel layer plus
 # clang-tidy when available.
@@ -10,8 +10,8 @@
 # Usage: tools/check.sh [build-dir]   (default: build-check)
 #
 # Each stage is independent; the script stops at the first failure. Expect
-# the whole matrix to take a while on one core — the sanitizer stages each
-# rebuild the library.
+# the whole matrix to take a while — the sanitizer stages each rebuild the
+# library and the test binary.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -64,7 +64,7 @@ fi
 for SAN in thread address undefined; do
   echo "== sanitize: ${SAN} =="
   cmake -S . -B "${BUILD}-${SAN}" -DLANDAU_SANITIZE="${SAN}" >/dev/null
-  cmake --build "${BUILD}-${SAN}" -j "${JOBS}" --target landau_sanitize_tests
+  cmake --build "${BUILD}-${SAN}" -j "${JOBS}" --target landau_tests
   ctest --test-dir "${BUILD}-${SAN}" -L sanitize --output-on-failure
 done
 
