@@ -22,56 +22,48 @@ using namespace landau::bench;
 
 namespace {
 
-/// AoS mirror of IPData: one interleaved record per integration point.
+/// AoS mirror of the kernels' source-point stream: one interleaved record
+/// per integration point.
 struct AosPacked {
-  int ns = 0;
-  std::size_t n = 0, stride = 0;
-  std::vector<double> data; // [n][3 + 3*ns]: r,z,w,f...,dfr...,dfz...
+  std::size_t n = 0;
+  std::vector<double> data; // [n][6]: r, z, w, sum_dfr, sum_dfz, sum_f
   void build(const IPData& ip) {
-    ns = ip.n_species;
     n = ip.n;
-    stride = 3 + 3 * static_cast<std::size_t>(ns);
-    data.resize(n * stride);
+    data.resize(n * detail::kInnerPointDoubles);
     for (std::size_t j = 0; j < n; ++j) {
-      double* rec = data.data() + j * stride;
+      double* rec = data.data() + j * detail::kInnerPointDoubles;
       rec[0] = ip.r[j];
       rec[1] = ip.z[j];
       rec[2] = ip.w[j];
-      for (int s = 0; s < ns; ++s) {
-        rec[3 + s] = ip.f_at(s, j);
-        rec[3 + ns + s] = ip.dfr_at(s, j);
-        rec[3 + 2 * ns + s] = ip.dfz_at(s, j);
-      }
+      rec[3] = ip.sum_dfr[j];
+      rec[4] = ip.sum_dfz[j];
+      rec[5] = ip.sum_f[j];
     }
   }
 };
 
-double run_inner_soa(const IPData& ip, const JacobianContext& ctx, int reps) {
+double run_inner_soa(const IPData& ip, int reps) {
   detail::InnerAccum acc;
   Stopwatch w;
   for (int r = 0; r < reps; ++r)
     for (std::size_t i = 0; i < ip.n; i += 16)
       for (std::size_t j = 0; j < ip.n; ++j)
-        detail::inner_point(ip.r[i], ip.z[i], ip.r[j], ip.z[j], ip.w[j], &ip.f[j], &ip.dfr[j],
-                            &ip.dfz[j], ip.n, ip.n_species, ctx.q2.data(), ctx.q2_over_m.data(),
-                            &acc);
+        detail::inner_point(ip.r[i], ip.z[i], ip.r[j], ip.z[j], ip.w[j], ip.sum_dfr[j],
+                            ip.sum_dfz[j], ip.sum_f[j], &acc);
   volatile double sink = acc.gd00;
   (void)sink;
   return w.seconds();
 }
 
-double run_inner_aos(const AosPacked& aos, const IPData& ip, const JacobianContext& ctx,
-                     int reps) {
+double run_inner_aos(const AosPacked& aos, const IPData& ip, int reps) {
   detail::InnerAccum acc;
-  const int ns = aos.ns;
   Stopwatch w;
   for (int r = 0; r < reps; ++r)
     for (std::size_t i = 0; i < aos.n; i += 16)
       for (std::size_t j = 0; j < aos.n; ++j) {
-        const double* rec = aos.data.data() + j * aos.stride;
-        detail::inner_point(ip.r[i], ip.z[i], rec[0], rec[1], rec[2], rec + 3,
-                            rec + 3 + ns, rec + 3 + 2 * ns, 1, ns, ctx.q2.data(),
-                            ctx.q2_over_m.data(), &acc);
+        const double* rec = aos.data.data() + j * detail::kInnerPointDoubles;
+        detail::inner_point(ip.r[i], ip.z[i], rec[0], rec[1], rec[2], rec[3], rec[4], rec[5],
+                            &acc);
       }
   volatile double sink = acc.gd00;
   (void)sink;
@@ -104,10 +96,10 @@ int main(int argc, char** argv) {
   {
     AosPacked aos;
     aos.build(op.ip_data());
-    const double t_soa = run_inner_soa(op.ip_data(), ctx, reps);
-    const double t_aos = run_inner_aos(aos, op.ip_data(), ctx, reps);
+    const double t_soa = run_inner_soa(op.ip_data(), reps);
+    const double t_aos = run_inner_aos(aos, op.ip_data(), reps);
     table.add_row().cell("IP layout").cell("SoA (GPU)").cell(t_soa, 3).cell(1.0, 2);
-    table.add_row().cell("IP layout").cell("AoS (vector)").cell(t_aos, 3).cell(t_aos / t_soa, 2);
+    table.add_row().cell("IP layout").cell("AoS, 6 doubles/pt").cell(t_aos, 3).cell(t_aos / t_soa, 2);
   }
 
   // --- atomic vs plain assembly --------------------------------------------

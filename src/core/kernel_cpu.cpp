@@ -29,9 +29,9 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
   auto ref_r = chk.in(std::span<const double>(ip.r), "ip.r");
   auto ref_z = chk.in(std::span<const double>(ip.z), "ip.z");
   auto ref_w = chk.in(std::span<const double>(ip.w), "ip.w");
-  auto ref_f = chk.in(std::span<const double>(ip.f), "ip.f");
-  auto ref_dfr = chk.in(std::span<const double>(ip.dfr), "ip.dfr");
-  auto ref_dfz = chk.in(std::span<const double>(ip.dfz), "ip.dfz");
+  auto ref_sdfr = chk.in(std::span<const double>(ip.sum_dfr), "ip.sum_dfr");
+  auto ref_sdfz = chk.in(std::span<const double>(ip.sum_dfz), "ip.sum_dfz");
+  auto ref_sf = chk.in(std::span<const double>(ip.sum_f), "ip.sum_f");
   // Not LANDAU_CROSS_BLOCK: this back-end runs cells serially
   // (concurrent_blocks=false above), so the assembly target is never
   // written concurrently and needs no atomics policy.
@@ -40,7 +40,7 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
   check::ThreadCtx tc;
   tc.session = chk.session();
   check::checked_span<const double> gr(ref_r, &tc), gz(ref_z, &tc), gw(ref_w, &tc);
-  check::checked_span<const double> gf(ref_f, &tc), gdfr(ref_dfr, &tc), gdfz(ref_dfz, &tc);
+  check::checked_span<const double> gsdfr(ref_sdfr, &tc), gsdfz(ref_sdfz, &tc), gsf(ref_sf, &tc);
   check::checked_span<double> gout(ref_out, &tc);
 
   ElementMatrices ce;
@@ -56,13 +56,9 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
       const std::size_t gi = ctx.ip_offset + cell * static_cast<std::size_t>(nq) + static_cast<std::size_t>(i);
       InnerAccum g;
       for (std::size_t jj = 0; jj < n; ++jj)
-        inner_point(gr[gi], gz[gi], gr[jj], gz[jj], gw[jj],
-                    gf.read_strided(jj, static_cast<std::size_t>(ns), n),
-                    gdfr.read_strided(jj, static_cast<std::size_t>(ns), n),
-                    gdfz.read_strided(jj, static_cast<std::size_t>(ns), n), n, ns, ctx.q2.data(),
-                    ctx.q2_over_m.data(), &g);
-      scope.flops(static_cast<std::int64_t>(n) * inner_flops(ns));
-      scope.dram(static_cast<std::int64_t>(n) * (3 + 3 * ns) * 8);
+        inner_point(gr[gi], gz[gi], gr[jj], gz[jj], gw[jj], gsdfr[jj], gsdfz[jj], gsf[jj], &g);
+      scope.flops(static_cast<std::int64_t>(n) * inner_flops());
+      scope.dram(static_cast<std::int64_t>(n) * kInnerPointDoubles * 8);
       for (int a = 0; a < ns; ++a)
         coeffs[static_cast<std::size_t>(a * nq + i)] = transform_point(
             g, ctx.nu0, ctx.q2[static_cast<std::size_t>(a)],

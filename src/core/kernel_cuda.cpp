@@ -48,9 +48,9 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
   auto ref_r = chk.in(std::span<const double>(ip.r), "ip.r");
   auto ref_z = chk.in(std::span<const double>(ip.z), "ip.z");
   auto ref_w = chk.in(std::span<const double>(ip.w), "ip.w");
-  auto ref_f = chk.in(std::span<const double>(ip.f), "ip.f");
-  auto ref_dfr = chk.in(std::span<const double>(ip.dfr), "ip.dfr");
-  auto ref_dfz = chk.in(std::span<const double>(ip.dfz), "ip.dfz");
+  auto ref_sdfr = chk.in(std::span<const double>(ip.sum_dfr), "ip.sum_dfr");
+  auto ref_sdfz = chk.in(std::span<const double>(ip.sum_dfz), "ip.sum_dfz");
+  auto ref_sf = chk.in(std::span<const double>(ip.sum_f), "ip.sum_f");
   // The assembly target is written concurrently by all blocks (paper
   // §III-F): stores must go through the atomic path, which landau-lint
   // enforces on direct subscript stores through views of this ref.
@@ -70,9 +70,9 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
         auto gr = blk.view(ref_r);
         auto gz = blk.view(ref_z);
         auto gw = blk.view(ref_w);
-        auto gf = blk.view(ref_f);
-        auto gdfr = blk.view(ref_dfr);
-        auto gdfz = blk.view(ref_dfz);
+        auto gsdfr = blk.view(ref_sdfr);
+        auto gsdfz = blk.view(ref_sdfz);
+        auto gsf = blk.view(ref_sf);
         auto gout = blk.view(ref_out);
 
         // Register file: each thread's partial (G_K, G_D).
@@ -82,9 +82,9 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
         auto tile_r = blk.shared<double>(kTile, "tile_r");
         auto tile_z = blk.shared<double>(kTile, "tile_z");
         auto tile_w = blk.shared<double>(kTile, "tile_w");
-        auto tile_f = blk.shared<double>(static_cast<std::size_t>(ns) * kTile, "tile_f");
-        auto tile_dfr = blk.shared<double>(static_cast<std::size_t>(ns) * kTile, "tile_dfr");
-        auto tile_dfz = blk.shared<double>(static_cast<std::size_t>(ns) * kTile, "tile_dfz");
+        auto tile_sdfr = blk.shared<double>(kTile, "tile_sdfr");
+        auto tile_sdfz = blk.shared<double>(kTile, "tile_sdfz");
+        auto tile_sf = blk.shared<double>(kTile, "tile_sf");
         auto kkdd = blk.shared<PointCoeffs>(static_cast<std::size_t>(ns) * nq, "kkdd");
         auto ce = blk.shared<double>(static_cast<std::size_t>(ns) * nb * nb, "ce");
 
@@ -98,33 +98,27 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
               tile_r[static_cast<std::size_t>(k)] = gr[gj];
               tile_z[static_cast<std::size_t>(k)] = gz[gj];
               tile_w[static_cast<std::size_t>(k)] = gw[gj];
-              for (int s = 0; s < ns; ++s) {
-                const std::size_t sg = static_cast<std::size_t>(s) * n + gj;
-                tile_f[static_cast<std::size_t>(s * kTile + k)] = gf[sg];
-                tile_dfr[static_cast<std::size_t>(s * kTile + k)] = gdfr[sg];
-                tile_dfz[static_cast<std::size_t>(s * kTile + k)] = gdfz[sg];
-              }
+              tile_sdfr[static_cast<std::size_t>(k)] = gsdfr[gj];
+              tile_sdfz[static_cast<std::size_t>(k)] = gsdfz[gj];
+              tile_sf[static_cast<std::size_t>(k)] = gsf[gj];
             }
           });
           blk.sync();
-          scope.dram(static_cast<std::int64_t>(tn) * (3 + 3 * ns) * 8);
+          scope.dram(static_cast<std::int64_t>(tn) * kInnerPointDoubles * 8);
           // Each thread accumulates its lane's share of the tile.
           blk.threads([&](exec::ThreadIdx t) {
             const std::size_t gi =
                 ctx.ip_offset + cell * static_cast<std::size_t>(nq) + static_cast<std::size_t>(t.y);
             for (int k = t.x; k < tn; k += lanes) {
               const auto sk = static_cast<std::size_t>(k);
-              inner_point(gr[gi], gz[gi], tile_r[sk], tile_z[sk], tile_w[sk],
-                          tile_f.read_strided(sk, static_cast<std::size_t>(ns), kTile),
-                          tile_dfr.read_strided(sk, static_cast<std::size_t>(ns), kTile),
-                          tile_dfz.read_strided(sk, static_cast<std::size_t>(ns), kTile), kTile, ns,
-                          ctx.q2.data(), ctx.q2_over_m.data(),
+              inner_point(gr[gi], gz[gi], tile_r[sk], tile_z[sk], tile_w[sk], tile_sdfr[sk],
+                          tile_sdfz[sk], tile_sf[sk],
                           regs.rw_ptr(static_cast<std::size_t>(t.flat)));
             }
           });
           blk.sync();
-          scope.flops(static_cast<std::int64_t>(tn) * nq * inner_flops(ns));
-          scope.shared(static_cast<std::int64_t>(tn) * nq * (3 + 3 * ns) * 8);
+          scope.flops(static_cast<std::int64_t>(tn) * nq * inner_flops());
+          scope.shared(static_cast<std::int64_t>(tn) * nq * kInnerPointDoubles * 8);
         }
 
         // Warp-shuffle reduction across the x-lanes (line 12).

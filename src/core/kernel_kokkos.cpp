@@ -30,9 +30,9 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
   auto ref_r = chk.in(std::span<const double>(ip.r), "ip.r");
   auto ref_z = chk.in(std::span<const double>(ip.z), "ip.z");
   auto ref_w = chk.in(std::span<const double>(ip.w), "ip.w");
-  auto ref_f = chk.in(std::span<const double>(ip.f), "ip.f");
-  auto ref_dfr = chk.in(std::span<const double>(ip.dfr), "ip.dfr");
-  auto ref_dfz = chk.in(std::span<const double>(ip.dfz), "ip.dfz");
+  auto ref_sdfr = chk.in(std::span<const double>(ip.sum_dfr), "ip.sum_dfr");
+  auto ref_sdfz = chk.in(std::span<const double>(ip.sum_dfz), "ip.sum_dfz");
+  auto ref_sf = chk.in(std::span<const double>(ip.sum_f), "ip.sum_f");
   auto ref_out = ctx.coo_values
                      ? LANDAU_CROSS_BLOCK(chk.out(std::span<double>(*ctx.coo_values), "coo.values"))
                      : LANDAU_CROSS_BLOCK(chk.out(j.values(), "csr.values"));
@@ -47,9 +47,9 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
     auto gr = member.view(ref_r);
     auto gz = member.view(ref_z);
     auto gw = member.view(ref_w);
-    auto gf = member.view(ref_f);
-    auto gdfr = member.view(ref_dfr);
-    auto gdfz = member.view(ref_dfz);
+    auto gsdfr = member.view(ref_sdfr);
+    auto gsdfz = member.view(ref_sdfz);
+    auto gsf = member.view(ref_sf);
     auto gout = member.view(ref_out);
 
     // Team scratch: variable-length shared arrays (no compile-time sizing,
@@ -65,11 +65,8 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
           static_cast<int>(n),
           [&](int jj, InnerAccum& acc) {
             const auto sj = static_cast<std::size_t>(jj);
-            inner_point(gr[gi], gz[gi], gr[sj], gz[sj], gw[sj],
-                        gf.read_strided(sj, static_cast<std::size_t>(ns), n),
-                        gdfr.read_strided(sj, static_cast<std::size_t>(ns), n),
-                        gdfz.read_strided(sj, static_cast<std::size_t>(ns), n), n, ns,
-                        ctx.q2.data(), ctx.q2_over_m.data(), &acc);
+            inner_point(gr[gi], gz[gi], gr[sj], gz[sj], gw[sj], gsdfr[sj], gsdfz[sj], gsf[sj],
+                        &acc);
           },
           g);
       for (int a = 0; a < ns; ++a)
@@ -79,9 +76,9 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
             ctx.q2_over_m2[static_cast<std::size_t>(a)], geom.jinv[0], geom.jinv[1], gw[gi]);
     });
     member.team_barrier();
-    scope.flops(static_cast<std::int64_t>(n) * nq * inner_flops(ns));
-    scope.dram(static_cast<std::int64_t>(n) * (3 + 3 * ns) * 8); // per-member stream
-    scope.shared(static_cast<std::int64_t>(n) * nq * (3 + 3 * ns) * 8);
+    scope.flops(static_cast<std::int64_t>(n) * nq * inner_flops());
+    scope.dram(static_cast<std::int64_t>(n) * kInnerPointDoubles * 8); // per-member stream
+    scope.shared(static_cast<std::int64_t>(n) * nq * kInnerPointDoubles * 8);
 
     // Transform & Assemble across the team.
     member.team_range(ns * nb, [&](int item) {

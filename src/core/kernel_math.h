@@ -26,33 +26,28 @@ struct InnerAccum {
   }
 };
 
-/// Flops per inner-loop iteration (tensor + species sums + accumulation),
-/// used by every back-end for consistent roofline accounting.
-LANDAU_DEVICE inline int inner_flops(int n_species) {
-  return kLandauTensor2DFlops + 6 * n_species + 14;
-}
+/// Flops per inner-loop iteration (tensor + accumulation), used by every
+/// back-end for consistent roofline accounting. The species sums are formed
+/// once per point by LandauOperator::pack and counted there.
+LANDAU_DEVICE inline int inner_flops() { return kLandauTensor2DFlops + 14; }
+
+/// Doubles a back-end streams per source point: r, z, w and the three
+/// species sums of IPData.
+inline constexpr int kInnerPointDoubles = 6;
 
 /// One (i, j) contribution to the inner integral: Algorithm 1 lines 4-11.
-/// The j-side data may point into shared-memory staging buffers (tiles).
+/// The j-side data (coordinates, weight and IPData's species sums) may come
+/// from shared-memory staging buffers (tiles).
 LANDAU_DEVICE inline void inner_point(double ri, double zi, double rj, double zj, double wj,
-                        const double* f_j,   // [species] values at j (stride given)
-                        const double* dfr_j, // [species]
-                        const double* dfz_j, std::size_t stride, int n_species,
-                        const double* q2, const double* q2_over_m, InnerAccum* acc) {
+                                      double sum_dfr_j, double sum_dfz_j, double sum_f_j,
+                                      InnerAccum* acc) {
   Tensor2 uk, ud;
   landau_tensor_2d(ri, zi, rj, zj, &uk, &ud);
-  double tk_r = 0, tk_z = 0, td = 0;
-  for (int b = 0; b < n_species; ++b) {
-    const std::size_t off = static_cast<std::size_t>(b) * stride;
-    tk_r += q2_over_m[b] * dfr_j[off];
-    tk_z += q2_over_m[b] * dfz_j[off];
-    td += q2[b] * f_j[off];
-  }
-  acc->gk_r += wj * (uk.m[0][0] * tk_r + uk.m[0][1] * tk_z);
-  acc->gk_z += wj * (uk.m[1][0] * tk_r + uk.m[1][1] * tk_z);
-  acc->gd00 += wj * td * ud.m[0][0];
-  acc->gd01 += wj * td * ud.m[0][1];
-  acc->gd11 += wj * td * ud.m[1][1];
+  acc->gk_r += wj * (uk.m[0][0] * sum_dfr_j + uk.m[0][1] * sum_dfz_j);
+  acc->gk_z += wj * (uk.m[1][0] * sum_dfr_j + uk.m[1][1] * sum_dfz_j);
+  acc->gd00 += wj * sum_f_j * ud.m[0][0];
+  acc->gd01 += wj * sum_f_j * ud.m[0][1];
+  acc->gd11 += wj * sum_f_j * ud.m[1][1];
 }
 
 /// Per-point per-species transform (Algorithm 1 lines 13-20): scale the

@@ -308,7 +308,7 @@ TEST_F(DeviceCheck, NonAtomicAssemblyIsAnInterBlockRace) {
 }
 
 TEST_F(DeviceCheck, UninitInputBufferReadIsReported) {
-  check::options().uninit_input = "ip.f"; // model reading unpacked device data
+  check::options().uninit_input = "ip.sum_f"; // model reading unpacked device data
   LandauOperator op = make_small_op();
   la::Vec f = op.maxwellian_state();
   op.pack(f);
@@ -323,7 +323,7 @@ TEST_F(DeviceCheck, UninitInputBufferReadIsReported) {
   const auto reports = dc.reports();
   const check::Report* r = find_report(reports, check::kUninitRead, "landau:jacobian-cuda");
   ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->buffer, "ip.f");
+  EXPECT_EQ(r->buffer, "ip.sum_f");
 }
 
 // ---------------------------------------------------------------------------

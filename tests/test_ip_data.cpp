@@ -64,6 +64,38 @@ TEST(IPData, SpeciesMajorAddressing) {
   }
 }
 
+TEST(IPData, SpeciesSumsMatchPerSpeciesRecomputation) {
+  // The kernels read a source point's species only through pack's sums; each
+  // must be bitwise the species-order sum with JacobianContext's coefficients.
+  SpeciesSet species({{.name = "e", .mass = 1.0, .charge = -1.0},
+                      {.name = "D", .mass = 3.7, .charge = 1.0},
+                      {.name = "Z3", .mass = 11.3, .charge = 3.0}});
+  LandauOptions opts;
+  opts.radius = 4.0;
+  opts.cells_per_thermal = 0.8;
+  opts.max_levels = 3;
+  LandauOperator op(species, opts);
+  op.pack(op.project([](int s, double r, double z) {
+    return (1.0 + s) * std::exp(-(r * r + (z - 0.3 * s) * (z - 0.3 * s)));
+  }));
+  const IPData& ip = op.ip_data();
+  JacobianContext ctx;
+  ctx.init(op.space(), op.species(), ip);
+  ASSERT_EQ(ip.sum_f.size(), ip.n);
+  for (std::size_t j = 0; j < ip.n; ++j) {
+    double sum_dfr = 0, sum_dfz = 0, sum_f = 0;
+    for (int b = 0; b < ip.n_species; ++b) {
+      const auto sb = static_cast<std::size_t>(b);
+      sum_dfr += ctx.q2_over_m[sb] * ip.dfr_at(b, j);
+      sum_dfz += ctx.q2_over_m[sb] * ip.dfz_at(b, j);
+      sum_f += ctx.q2[sb] * ip.f_at(b, j);
+    }
+    EXPECT_EQ(ip.sum_dfr[j], sum_dfr) << "j=" << j;
+    EXPECT_EQ(ip.sum_dfz[j], sum_dfz) << "j=" << j;
+    EXPECT_EQ(ip.sum_f[j], sum_f) << "j=" << j;
+  }
+}
+
 TEST(IPData, MismatchedStateSizeThrows) {
   auto op = make_operator(1);
   EXPECT_THROW(op.pack(la::Vec(3)), landau::Error);
