@@ -4,8 +4,9 @@
 # the device memory-model checker validation suite (with the checker
 # force-enabled through the environment), the telemetry stage (a short traced quench run whose Chrome-trace JSON and
 # NDJSON step log are schema-validated, plus the bench_compare self-test),
-# and the static stage: landau-lint over the annotated kernel layer plus
-# clang-tidy when available.
+# the perfbench smoke stage (each benchmark workload once, its end-to-end
+# checks must pass), and the static stage: landau-lint over the annotated
+# kernel layer plus clang-tidy when available.
 #
 # Usage: tools/check.sh [build-dir]   (default: build-check)
 #
@@ -57,6 +58,13 @@ for rec in lines:
 print(f"telemetry ok: {len(events)} spans, {len(lines)} step records")
 EOF
   python3 tools/bench_compare.py --self-test
+else
+  echo "python3 not installed: skipped"
+fi
+
+echo "== perfbench: collision-advance benchmark smoke (its own correctness checks) =="
+if command -v python3 >/dev/null 2>&1; then
+  tools/perfbench_smoke.sh
 else
   echo "python3 not installed: skipped"
 fi
