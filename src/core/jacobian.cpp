@@ -34,11 +34,9 @@ void JacobianContext::init(const fem::FESpace& f, const SpeciesSet& s, const IPD
   q2_over_m.resize(static_cast<std::size_t>(ns));
   q2_over_m2.resize(static_cast<std::size_t>(ns));
   for (int b = 0; b < ns; ++b) {
-    const double q = s[b].charge;
-    const double m = s[b].mass;
-    q2[static_cast<std::size_t>(b)] = q * q;
-    q2_over_m[static_cast<std::size_t>(b)] = q * q / m;
-    q2_over_m2[static_cast<std::size_t>(b)] = q * q / (m * m);
+    q2[static_cast<std::size_t>(b)] = s[b].q2();
+    q2_over_m[static_cast<std::size_t>(b)] = s[b].q2_over_m();
+    q2_over_m2[static_cast<std::size_t>(b)] = s[b].q2_over_m2();
   }
 }
 

@@ -37,6 +37,13 @@ struct Species {
   double maxwellian(double r, double z, double drift_z = 0.0) const {
     return maxwellian_rz(r, z, density, theta(), drift_z);
   }
+  /// Charge weights of the Landau integrals (eqs. 7-8): as a source species
+  /// q^2 weights f and q^2/m weights grad f; as the field species q^2/m
+  /// scales the K term and q^2/m^2 the D term. Formed only here, so pack's
+  /// species sums and the kernels agree bitwise.
+  double q2() const { return charge * charge; }
+  double q2_over_m() const { return charge * charge / mass; }
+  double q2_over_m2() const { return charge * charge / (mass * mass); }
 };
 
 /// An ordered set of species; index 0 is conventionally the electrons.

@@ -247,10 +247,6 @@ public:
     for (std::size_t k = 0; sb_ && k < count; ++k) note(i + k, Kind::Read);
     return target(i);
   }
-  T* read_strided(std::size_t i, std::size_t count, std::size_t stride) const {
-    for (std::size_t k = 0; sb_ && k < count; ++k) note(i + k * stride, Kind::Read);
-    return target(i);
-  }
   T* write_ptr(std::size_t i, std::size_t count = 1) const {
     for (std::size_t k = 0; sb_ && k < count; ++k) note(i + k, Kind::Write);
     return target(i);

@@ -84,10 +84,9 @@ Landau3DOperator::Landau3DOperator(SpeciesSet species, Landau3DOptions opts)
   q2_over_m_.resize(static_cast<std::size_t>(ns));
   q2_over_m2_.resize(static_cast<std::size_t>(ns));
   for (int s = 0; s < ns; ++s) {
-    const double q = species_[s].charge, m = species_[s].mass;
-    q2_[static_cast<std::size_t>(s)] = q * q;
-    q2_over_m_[static_cast<std::size_t>(s)] = q * q / m;
-    q2_over_m2_[static_cast<std::size_t>(s)] = q * q / (m * m);
+    q2_[static_cast<std::size_t>(s)] = species_[s].q2();
+    q2_over_m_[static_cast<std::size_t>(s)] = species_[s].q2_over_m();
+    q2_over_m2_[static_cast<std::size_t>(s)] = species_[s].q2_over_m2();
   }
   LANDAU_INFO("Landau3DOperator: " << space_.n_cells() << " cells, " << space_.n_dofs()
                                    << " dofs/species, " << ns << " species");
