@@ -1,16 +1,19 @@
 // Google-benchmark microbenchmarks of the hot kernels: elliptic integrals,
-// the 2D Landau tensor, the inner-integral pair kernel, banded LU, RCM,
-// sparse matvec, and the full element kernel on each back-end.
+// the 2D Landau tensor, the inner-integral pair kernel (scalar and SIMD),
+// banded LU, RCM, sparse matvec, and the full element kernel on each
+// back-end.
 
 #include <benchmark/benchmark.h>
 
 #include <random>
 
+#include "core/inner_tile.h"
 #include "core/kernel_math.h"
 #include "core/landau_tensor.h"
 #include "core/operator.h"
 #include "la/band.h"
 #include "la/rcm.h"
+#include "util/simd.h"
 
 using namespace landau;
 
@@ -48,6 +51,41 @@ static void BM_InnerPoint(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InnerPoint);
+
+// The SIMD inner integral at the variant this CPU runs, over one cuda-sim
+// tile of 128 seeded source points (16 calls of one chunk) per iteration;
+// time_per_pair is the time of one pair.
+static void BM_InnerTile(benchmark::State& state) {
+  constexpr std::size_t n = 128;
+  std::mt19937 rng(3);
+  std::uniform_real_distribution<double> ur(0.05, 4.0), uz(-4.0, 4.0), u01(0.0, 1.0);
+  std::vector<double> r(n), z(n), w(n), sdfr(n), sdfz(n), sf(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    r[j] = ur(rng);
+    z[j] = uz(rng);
+    w[j] = u01(rng);
+    sdfr[j] = u01(rng) - 0.5;
+    sdfz[j] = u01(rng) - 0.5;
+    sf[j] = u01(rng);
+  }
+  detail::InnerSlots slots;
+  double ri = 1.0;
+  for (auto _ : state) {
+    for (std::size_t k = 0; k < n; k += kIpChunk)
+      detail::inner_tile(ri, 0.5,
+                         {r.data() + k, z.data() + k, w.data() + k, sdfr.data() + k,
+                          sdfz.data() + k, sf.data() + k},
+                         &slots);
+    benchmark::DoNotOptimize(&slots);
+    benchmark::ClobberMemory();
+    ri = ri < 3.0 ? ri + 1e-3 : 0.5;
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  state.counters["time_per_pair"] = benchmark::Counter(
+      n, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.SetLabel(simd_variant_name());
+}
+BENCHMARK(BM_InnerTile);
 
 static void BM_BandLUFactor(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
   const double t_mass = w2.seconds();
 
   const auto host = obs::calibrate_peaks(budget);
-  std::printf("host peaks (measured in %.2f s): %.2f Gflop/s FMA, %.2f GB/s stream\n",
-              host.calibration_seconds, host.fma_gflops, host.stream_gbs);
+  std::printf("host peaks (measured in %.2f s): %.2f Gflop/s FMA (%s), %.2f GB/s stream\n",
+              host.calibration_seconds, host.fma_gflops, host.simd_variant, host.stream_gbs);
 
   const std::vector<obs::RooflineEntry> entries = {
       obs::RooflineEntry::from_counters("Jacobian", jac, t_jac),

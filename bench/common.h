@@ -26,6 +26,7 @@
 #include "solver/implicit.h"
 #include "util/options.h"
 #include "util/profiler.h"
+#include "util/simd.h"
 #include "util/table_writer.h"
 
 namespace landau::bench {
@@ -37,7 +38,8 @@ namespace landau::bench {
 ///
 /// Schema (version 1):
 ///   {"bench": "<name>", "schema": 1,
-///    "env": {"hardware_threads": N, "build": "<type>"},
+///    "env": {"hardware_threads": N, "simd_variant": "baseline|avx2",
+///            "build": "<type>"},
 ///    "metrics": {"<metric>": {"value": x, "unit": "<unit>",
 ///                             "compare": "higher"|"lower"|"none"}}}
 ///
@@ -76,6 +78,7 @@ public:
     doc.set("schema", 1);
     obs::JsonValue env = obs::JsonValue::object();
     env.set("hardware_threads", static_cast<long long>(std::thread::hardware_concurrency()));
+    env.set("simd_variant", simd_variant_name());
 #ifdef NDEBUG
     env.set("build", "release");
 #else

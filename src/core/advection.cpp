@@ -1,5 +1,7 @@
 #include "core/advection.h"
 
+#include <vector>
+
 #include "util/special_math.h"
 
 namespace landau {
@@ -10,7 +12,13 @@ void assemble_advection(const JacobianContext& ctx, double e_z, la::CsrMatrix& j
   const auto& tab = fes.tabulation();
   const int nq = tab.n_quad();
   const int nb = tab.n_basis();
-  const int ns = ctx.species->size();
+  const int ns = ctx.n_grid_species();
+  // (q/m) E_z of each species on this grid.
+  std::vector<double> qm_ez(static_cast<std::size_t>(ns));
+  for (int k = 0; k < ns; ++k) {
+    const auto& sp = (*ctx.species)[ctx.grid_species_at(k)];
+    qm_ez[static_cast<std::size_t>(k)] = (sp.charge / sp.mass) * e_z;
+  }
 
   detail::ElementMatrices ce;
   for (std::size_t cell = 0; cell < fes.n_cells(); ++cell) {
@@ -25,10 +33,8 @@ void assemble_advection(const JacobianContext& ctx, double e_z, la::CsrMatrix& j
           // d phi_b / dz in physical coordinates.
           const double dz = tab.E(q, b, 1) * geom.jinv[1];
           const double base = wq * ba * dz;
-          for (int s = 0; s < ns; ++s) {
-            const auto& sp = (*ctx.species)[s];
-            ce.at(s, a, b) += (sp.charge / sp.mass) * e_z * base;
-          }
+          for (int k = 0; k < ns; ++k)
+            ce.at(k, a, b) += qm_ez[static_cast<std::size_t>(k)] * base;
         }
       }
     }

@@ -17,24 +17,15 @@ const char* backend_name(Backend b) {
   return "?";
 }
 
-bool JacobianContext::species_on_grid(int s) const {
-  if (!grid_species) return true;
-  for (int g : *grid_species)
-    if (g == s) return true;
-  return false;
-}
-
 void JacobianContext::init(const fem::FESpace& f, const SpeciesSet& s, const IPData& d) {
   fes = &f;
   species = &s;
   ip = &d;
   LANDAU_ASSERT(d.n_species == s.size(), "IP data species count mismatch");
   const int ns = s.size();
-  q2.resize(static_cast<std::size_t>(ns));
   q2_over_m.resize(static_cast<std::size_t>(ns));
   q2_over_m2.resize(static_cast<std::size_t>(ns));
   for (int b = 0; b < ns; ++b) {
-    q2[static_cast<std::size_t>(b)] = s[b].q2();
     q2_over_m[static_cast<std::size_t>(b)] = s[b].q2_over_m();
     q2_over_m2[static_cast<std::size_t>(b)] = s[b].q2_over_m2();
   }
@@ -75,13 +66,12 @@ LANDAU_DEVICE void assemble_element(const JacobianContext& ctx, std::size_t cell
       }
     return;
   }
-  for (int s = 0; s < ce.n_species; ++s) {
-    if (!ctx.species_on_grid(s)) continue; // dofs live on another grid (§III-H)
-    const std::size_t off = ctx.block_offset(s);
+  for (int k = 0; k < ce.n_species; ++k) {
+    const std::size_t off = ctx.block_offset(ctx.grid_species_at(k));
     for (int a = 0; a < nb; ++a) {
       const auto ca = dm.closure(nodes[static_cast<std::size_t>(a)]);
       for (int b = 0; b < nb; ++b) {
-        const double v = ce.at(s, a, b);
+        const double v = ce.at(k, a, b);
         if (fp::exact_eq(v, 0.0)) continue; // sparsity skip: bitwise compare intended
         const auto cb = dm.closure(nodes[static_cast<std::size_t>(b)]);
         for (const auto& [di, wi] : ca)
@@ -189,7 +179,7 @@ void assemble_mass_kernel(exec::ThreadPool& pool, const JacobianContext& ctx, do
   const auto& tab = fes.tabulation();
   const int nq = tab.n_quad();
   const int nb = tab.n_basis();
-  const int ns = ctx.species->size();
+  const int ns = ctx.n_grid_species();
 
   // Device-checker scope: one "block" per cell (the kernel is block-uniform —
   // no intra-block thread structure), with the packed weights as input and

@@ -55,14 +55,15 @@ struct JacobianContext {
   // Multi-grid support (§III-H): this context's FE space is one grid of a
   // LandauOperator. Its cells' integration points start at ip_offset in
   // the concatenated IP arrays; only grid_species have dofs on this grid
-  // (others contribute to the inner integral via the IP data but assemble
-  // nothing here); species dof blocks start at species_offsets[s].
+  // (others contribute to the inner integral via the IP data, but the
+  // kernels form and assemble element matrices only for grid_species);
+  // species dof blocks start at species_offsets[s].
   std::size_t ip_offset = 0;
   const std::vector<int>* grid_species = nullptr;            // nullptr: all species
   const std::vector<std::size_t>* species_offsets = nullptr; // nullptr: s * n_free()
 
-  // Coefficient tables: q^2, q^2 m0/m, q^2 (m0/m)^2 per species.
-  std::vector<double> q2, q2_over_m, q2_over_m2;
+  // Coefficient tables: q^2 m0/m, q^2 (m0/m)^2 per species.
+  std::vector<double> q2_over_m, q2_over_m2;
 
   void init(const fem::FESpace& f, const SpeciesSet& s, const IPData& d);
 
@@ -71,8 +72,14 @@ struct JacobianContext {
     return species_offsets ? (*species_offsets)[static_cast<std::size_t>(s)]
                            : static_cast<std::size_t>(s) * n_free();
   }
-  /// Species whose dofs live on this context's grid.
-  bool species_on_grid(int s) const;
+  /// Number of species whose dofs live on this context's grid, and the
+  /// global index of the k-th of them (ascending).
+  int n_grid_species() const {
+    return grid_species ? static_cast<int>(grid_species->size()) : species->size();
+  }
+  int grid_species_at(int k) const {
+    return grid_species ? (*grid_species)[static_cast<std::size_t>(k)] : k;
+  }
 };
 
 /// Add the collision matrix C into J (J must carry the block sparsity).
@@ -108,11 +115,12 @@ private:
 
 namespace detail {
 
-/// Element matrices of one cell (all species), in node space. The per-backend
+/// Element matrices of one cell for the context's grid species, in node
+/// space: species index k stands for ctx.grid_species_at(k). The per-backend
 /// kernels fill this; assembly into the global matrix is shared.
 struct ElementMatrices {
   int nb = 0, n_species = 0;
-  std::vector<double> c; // [species][a][b]
+  std::vector<double> c; // [grid species][a][b]
   double& at(int s, int a, int b) { return c[(static_cast<std::size_t>(s) * nb + a) * nb + b]; }
   double at(int s, int a, int b) const {
     return c[(static_cast<std::size_t>(s) * nb + a) * nb + b];

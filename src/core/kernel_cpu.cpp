@@ -18,7 +18,7 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
   const auto& ip = *ctx.ip;
   const int nq = tab.n_quad();
   const int nb = tab.n_basis();
-  const int ns = ctx.species->size();
+  const int ns = ctx.n_grid_species();
   const std::size_t n = ip.n;
 
   // Device-checker scope: the serial kernel is one "block" per cell with no
@@ -59,11 +59,12 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
         inner_point(gr[gi], gz[gi], gr[jj], gz[jj], gw[jj], gsdfr[jj], gsdfz[jj], gsf[jj], &g);
       scope.flops(static_cast<std::int64_t>(n) * inner_flops());
       scope.dram(static_cast<std::int64_t>(n) * kInnerPointDoubles * 8);
-      for (int a = 0; a < ns; ++a)
-        coeffs[static_cast<std::size_t>(a * nq + i)] = transform_point(
-            g, ctx.nu0, ctx.q2[static_cast<std::size_t>(a)],
-            ctx.q2_over_m[static_cast<std::size_t>(a)], ctx.q2_over_m2[static_cast<std::size_t>(a)],
-            geom.jinv[0], geom.jinv[1], gw[gi]);
+      for (int a = 0; a < ns; ++a) {
+        const auto sa = static_cast<std::size_t>(ctx.grid_species_at(a));
+        coeffs[static_cast<std::size_t>(a * nq + i)] =
+            transform_point(g, ctx.nu0, ctx.q2_over_m[sa], ctx.q2_over_m2[sa], geom.jinv[0],
+                            geom.jinv[1], gw[gi]);
+      }
     }
 
     // Transform & Assemble (Algorithm 1 line 23): contract with the element

@@ -6,10 +6,15 @@
 //  * block.x = reduction lanes for the inner integral (power of two,
 //    block.x * block.y <= 256, §III-E1),
 //  * the beta-terms of the inner integral are staged tile-by-tile into
-//    shared memory; partial integrals live in per-thread registers and are
-//    combined with a warp-shuffle butterfly; the element matrix is formed by
-//    all threads and assembled into the global CSR matrix with atomic adds.
+//    shared memory; each x-lane takes eight consecutive points of every tile
+//    (the double2/double4 vector-load idiom) through the SIMD helper of
+//    core/inner_tile.h, so a tile is 8 x blockDim.x points (128 for Q2/Q3);
+//    partial integrals live in per-thread registers, fold over their eight
+//    slots and combine with a warp-shuffle butterfly; the element matrix is
+//    formed by all threads for the grid's species and assembled into the
+//    global CSR matrix with atomic adds.
 
+#include "core/inner_tile.h"
 #include "core/jacobian.h"
 #include "core/kernel_math.h"
 #include "exec/annotations.h"
@@ -25,8 +30,6 @@ int reduction_lanes(int nq) {
   return x;
 }
 
-constexpr int kTile = 128; // shared-memory staging tile (inner points)
-
 } // namespace
 
 void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::CsrMatrix& j,
@@ -37,9 +40,11 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
   const auto& ip = *ctx.ip;
   const int nq = tab.n_quad();
   const int nb = tab.n_basis();
-  const int ns = ctx.species->size();
+  const int ns = ctx.n_grid_species();
   const std::size_t n = ip.n;
+  const std::size_t n_padded = ip.n_padded();
   const exec::Dim3 block{reduction_lanes(nq), nq, 1};
+  const std::size_t tile = kIpChunk * static_cast<std::size_t>(block.x);
 
   // Device-checker scope: register the packed IP arrays as inputs and the
   // assembly target as the concurrently-written output. Inactive (and free)
@@ -75,22 +80,25 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
         auto gsf = blk.view(ref_sf);
         auto gout = blk.view(ref_out);
 
-        // Register file: each thread's partial (G_K, G_D).
-        auto regs = blk.registers<InnerAccum>("regs");
+        // Register files: each thread's eight-slot partial (G_K, G_D), and
+        // the folded value the shuffle reduces.
+        auto regs = blk.registers<InnerSlots>("regs");
+        auto red = blk.registers<InnerAccum>("red");
 
         // Shared memory: staging tiles and the per-(species, point) results.
-        auto tile_r = blk.shared<double>(kTile, "tile_r");
-        auto tile_z = blk.shared<double>(kTile, "tile_z");
-        auto tile_w = blk.shared<double>(kTile, "tile_w");
-        auto tile_sdfr = blk.shared<double>(kTile, "tile_sdfr");
-        auto tile_sdfz = blk.shared<double>(kTile, "tile_sdfz");
-        auto tile_sf = blk.shared<double>(kTile, "tile_sf");
+        auto tile_r = blk.shared<double>(tile, "tile_r");
+        auto tile_z = blk.shared<double>(tile, "tile_z");
+        auto tile_w = blk.shared<double>(tile, "tile_w");
+        auto tile_sdfr = blk.shared<double>(tile, "tile_sdfr");
+        auto tile_sdfz = blk.shared<double>(tile, "tile_sdfz");
+        auto tile_sf = blk.shared<double>(tile, "tile_sf");
         auto kkdd = blk.shared<PointCoeffs>(static_cast<std::size_t>(ns) * nq, "kkdd");
         auto ce = blk.shared<double>(static_cast<std::size_t>(ns) * nb * nb, "ce");
 
         // Inner integral over all global points, tile by tile (lines 3-11).
-        for (std::size_t j0 = 0; j0 < n; j0 += kTile) {
-          const int tn = static_cast<int>(std::min<std::size_t>(kTile, n - j0));
+        // The padded arrays end on a whole chunk, so every tile does too.
+        for (std::size_t j0 = 0; j0 < n_padded; j0 += tile) {
+          const int tn = static_cast<int>(std::min(tile, n_padded - j0));
           // Cooperative load: threads stride the tile (coalesced SoA reads).
           blk.threads([&](exec::ThreadIdx t) {
             for (int k = t.flat; k < tn; k += blk.num_threads()) {
@@ -105,37 +113,45 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
           });
           blk.sync();
           scope.dram(static_cast<std::int64_t>(tn) * kInnerPointDoubles * 8);
-          // Each thread accumulates its lane's share of the tile.
+          // Each x-lane folds its eight consecutive points of the tile.
           blk.threads([&](exec::ThreadIdx t) {
+            const auto k = kIpChunk * static_cast<std::size_t>(t.x);
+            if (k >= static_cast<std::size_t>(tn)) return;
             const std::size_t gi =
                 ctx.ip_offset + cell * static_cast<std::size_t>(nq) + static_cast<std::size_t>(t.y);
-            for (int k = t.x; k < tn; k += lanes) {
-              const auto sk = static_cast<std::size_t>(k);
-              inner_point(gr[gi], gz[gi], tile_r[sk], tile_z[sk], tile_w[sk], tile_sdfr[sk],
-                          tile_sdfz[sk], tile_sf[sk],
-                          regs.rw_ptr(static_cast<std::size_t>(t.flat)));
-            }
+            const InnerSource src{tile_r.read_ptr(k, kIpChunk),    tile_z.read_ptr(k, kIpChunk),
+                                  tile_w.read_ptr(k, kIpChunk),    tile_sdfr.read_ptr(k, kIpChunk),
+                                  tile_sdfz.read_ptr(k, kIpChunk), tile_sf.read_ptr(k, kIpChunk)};
+            inner_tile(gr[gi], gz[gi], src, regs.rw_ptr(static_cast<std::size_t>(t.flat)));
           });
           blk.sync();
-          scope.flops(static_cast<std::int64_t>(tn) * nq * inner_flops());
+          // Flops of the real pairs only: padding points are not work.
+          const auto real = static_cast<std::int64_t>(std::min(tile, n - j0));
+          scope.flops(real * nq * inner_flops());
           scope.shared(static_cast<std::int64_t>(tn) * nq * kInnerPointDoubles * 8);
         }
 
-        // Warp-shuffle reduction across the x-lanes (line 12).
-        blk.shfl_xor_sum_x(regs);
+        // Fold each thread's slots, then the warp-shuffle reduction across
+        // the x-lanes (line 12).
+        blk.threads([&](exec::ThreadIdx t) {
+          const auto me = static_cast<std::size_t>(t.flat);
+          *red.write_ptr(me) = regs.read_ptr(me)->fold();
+        });
+        blk.shfl_xor_sum_x(red);
 
-        // Per-species scaling and mapping to the global basis (lines 13-21).
+        // Per-species scaling and mapping to the global basis (lines 13-21),
+        // for the species on this grid.
         blk.threads([&](exec::ThreadIdx t) {
           const std::size_t gi =
               ctx.ip_offset + cell * static_cast<std::size_t>(nq) + static_cast<std::size_t>(t.y);
           // Row-reduced value: each thread reads its own register slot.
-          const InnerAccum& g = *regs.read_ptr(static_cast<std::size_t>(t.flat));
-          for (int a = t.x; a < ns; a += lanes)
-            kkdd[static_cast<std::size_t>(a * nq + t.y)] = transform_point(
-                g, ctx.nu0, ctx.q2[static_cast<std::size_t>(a)],
-                ctx.q2_over_m[static_cast<std::size_t>(a)],
-                ctx.q2_over_m2[static_cast<std::size_t>(a)], geom.jinv[0], geom.jinv[1],
-                gw[gi]);
+          const InnerAccum& g = *red.read_ptr(static_cast<std::size_t>(t.flat));
+          for (int a = t.x; a < ns; a += lanes) {
+            const auto sa = static_cast<std::size_t>(ctx.grid_species_at(a));
+            kkdd[static_cast<std::size_t>(a * nq + t.y)] =
+                transform_point(g, ctx.nu0, ctx.q2_over_m[sa], ctx.q2_over_m2[sa], geom.jinv[0],
+                                geom.jinv[1], gw[gi]);
+          }
         });
         blk.sync();
 

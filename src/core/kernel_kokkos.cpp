@@ -1,9 +1,12 @@
 // The Kokkos formulation of the Landau Jacobian kernel: one league member
 // per element, team threads over integration points, and the inner integral
 // expressed as a parallel_reduce over vector lanes with a general C++
-// reducer object (InnerAccum) — the machinery the CUDA version spells out
-// with registers and warp shuffles is hidden in the reduction (§III-D).
+// reducer object (InnerSlots) — the machinery the CUDA version spells out
+// with registers and warp shuffles is hidden in the reduction (§III-D). The
+// vector range runs over chunks of eight source points, each through the
+// SIMD helper of core/inner_tile.h.
 
+#include "core/inner_tile.h"
 #include "core/jacobian.h"
 #include "core/kernel_math.h"
 #include "exec/annotations.h"
@@ -19,8 +22,9 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
   const auto& ip = *ctx.ip;
   const int nq = tab.n_quad();
   const int nb = tab.n_basis();
-  const int ns = ctx.species->size();
+  const int ns = ctx.n_grid_species();
   const std::size_t n = ip.n;
+  const auto n_chunks = static_cast<int>(ip.n_padded() / kIpChunk);
 
   const kk::TeamPolicy policy{static_cast<int>(fes.n_cells()), nq, 32};
 
@@ -60,25 +64,31 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
     // Integration points distributed over the team's threads.
     member.team_range(nq, [&](int i) {
       const std::size_t gi = ctx.ip_offset + cell * static_cast<std::size_t>(nq) + static_cast<std::size_t>(i);
-      InnerAccum g;
+      InnerSlots slots;
       member.vector_reduce(
-          static_cast<int>(n),
-          [&](int jj, InnerAccum& acc) {
-            const auto sj = static_cast<std::size_t>(jj);
-            inner_point(gr[gi], gz[gi], gr[sj], gz[sj], gw[sj], gsdfr[sj], gsdfz[sj], gsf[sj],
-                        &acc);
+          n_chunks,
+          [&](int c, InnerSlots& acc) {
+            const std::size_t k = kIpChunk * static_cast<std::size_t>(c);
+            const InnerSource src{gr.read_ptr(k, kIpChunk),    gz.read_ptr(k, kIpChunk),
+                                  gw.read_ptr(k, kIpChunk),    gsdfr.read_ptr(k, kIpChunk),
+                                  gsdfz.read_ptr(k, kIpChunk), gsf.read_ptr(k, kIpChunk)};
+            inner_tile(gr[gi], gz[gi], src, &acc);
           },
-          g);
-      for (int a = 0; a < ns; ++a)
-        kkdd[static_cast<std::size_t>(a * nq + i)] = transform_point(
-            g, ctx.nu0, ctx.q2[static_cast<std::size_t>(a)],
-            ctx.q2_over_m[static_cast<std::size_t>(a)],
-            ctx.q2_over_m2[static_cast<std::size_t>(a)], geom.jinv[0], geom.jinv[1], gw[gi]);
+          slots);
+      const InnerAccum g = slots.fold();
+      for (int a = 0; a < ns; ++a) {
+        const auto sa = static_cast<std::size_t>(ctx.grid_species_at(a));
+        kkdd[static_cast<std::size_t>(a * nq + i)] =
+            transform_point(g, ctx.nu0, ctx.q2_over_m[sa], ctx.q2_over_m2[sa], geom.jinv[0],
+                            geom.jinv[1], gw[gi]);
+      }
     });
     member.team_barrier();
+    // Flops of the real pairs only; the padded stream is what moves.
+    const auto streamed = static_cast<std::int64_t>(n_chunks) * static_cast<std::int64_t>(kIpChunk);
     scope.flops(static_cast<std::int64_t>(n) * nq * inner_flops());
-    scope.dram(static_cast<std::int64_t>(n) * kInnerPointDoubles * 8); // per-member stream
-    scope.shared(static_cast<std::int64_t>(n) * nq * kInnerPointDoubles * 8);
+    scope.dram(streamed * kInnerPointDoubles * 8); // per-member stream
+    scope.shared(streamed * nq * kInnerPointDoubles * 8);
 
     // Transform & Assemble across the team.
     member.team_range(ns * nb, [&](int item) {

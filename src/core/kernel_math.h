@@ -10,13 +10,13 @@
 
 namespace landau::detail {
 
-/// Partial inner-integral accumulator of one thread: G_K (vector) and the
-/// symmetric G_D (tensor) of Algorithm 1 lines 10-11. Reducible: default
+/// Partial inner-integral sums: G_K (vector) and the symmetric G_D (tensor)
+/// of Algorithm 1 lines 10-11, one per lane of V. Reducible: default
 /// constructible with operator+= (the Kokkos reducer requirement).
-struct InnerAccum {
-  double gk_r = 0, gk_z = 0;
-  double gd00 = 0, gd01 = 0, gd11 = 0;
-  InnerAccum& operator+=(const InnerAccum& o) {
+template <class V> struct InnerSums {
+  V gk_r{}, gk_z{};
+  V gd00{}, gd01{}, gd11{};
+  InnerSums& operator+=(const InnerSums& o) {
     gk_r += o.gk_r;
     gk_z += o.gk_z;
     gd00 += o.gd00;
@@ -25,6 +25,9 @@ struct InnerAccum {
     return *this;
   }
 };
+
+/// One thread's partial (G_K, G_D).
+using InnerAccum = InnerSums<double>;
 
 /// Flops per inner-loop iteration (tensor + accumulation), used by every
 /// back-end for consistent roofline accounting. The species sums are formed
@@ -35,19 +38,27 @@ LANDAU_DEVICE inline int inner_flops() { return kLandauTensor2DFlops + 14; }
 /// species sums of IPData.
 inline constexpr int kInnerPointDoubles = 6;
 
-/// One (i, j) contribution to the inner integral: Algorithm 1 lines 4-11.
-/// The j-side data (coordinates, weight and IPData's species sums) may come
-/// from shared-memory staging buffers (tiles).
+/// One (i, j) contribution per lane to the inner integral: Algorithm 1
+/// lines 4-11. The j-side data (coordinates, weight and IPData's species
+/// sums) may come from shared-memory staging buffers (tiles).
+template <class V>
+[[gnu::always_inline]] LANDAU_DEVICE inline void
+inner_pair(const V& ri, const V& zi, const V& rj, const V& zj, const V& wj, const V& sum_dfr_j,
+           const V& sum_dfz_j, const V& sum_f_j, InnerSums<V>* acc) {
+  TensorLanes<V> t{};
+  landau_tensor_lanes(ri, zi, rj, zj, &t);
+  acc->gk_r += wj * (t.uk00 * sum_dfr_j + t.off * sum_dfz_j);
+  acc->gk_z += wj * (t.uk10 * sum_dfr_j + t.d11 * sum_dfz_j);
+  acc->gd00 += wj * sum_f_j * t.ud00;
+  acc->gd01 += wj * sum_f_j * t.off;
+  acc->gd11 += wj * sum_f_j * t.d11;
+}
+
+/// The scalar pair of the serial reference: inner_pair at W = 1.
 LANDAU_DEVICE inline void inner_point(double ri, double zi, double rj, double zj, double wj,
                                       double sum_dfr_j, double sum_dfz_j, double sum_f_j,
                                       InnerAccum* acc) {
-  Tensor2 uk, ud;
-  landau_tensor_2d(ri, zi, rj, zj, &uk, &ud);
-  acc->gk_r += wj * (uk.m[0][0] * sum_dfr_j + uk.m[0][1] * sum_dfz_j);
-  acc->gk_z += wj * (uk.m[1][0] * sum_dfr_j + uk.m[1][1] * sum_dfz_j);
-  acc->gd00 += wj * sum_f_j * ud.m[0][0];
-  acc->gd01 += wj * sum_f_j * ud.m[0][1];
-  acc->gd11 += wj * sum_f_j * ud.m[1][1];
+  inner_pair(ri, zi, rj, zj, wj, sum_dfr_j, sum_dfz_j, sum_f_j, acc);
 }
 
 /// Per-point per-species transform (Algorithm 1 lines 13-20): scale the
@@ -58,9 +69,9 @@ struct PointCoeffs {
   double dd00, dd01, dd11;    // DD[alpha][i] (symmetric)
 };
 
-LANDAU_DEVICE inline PointCoeffs transform_point(const InnerAccum& g, double nu0, double q2a,
-                                   double q2a_over_ma, double q2a_over_ma2, double jinv0,
-                                   double jinv1, double wi) {
+LANDAU_DEVICE inline PointCoeffs transform_point(const InnerAccum& g, double nu0,
+                                                 double q2a_over_ma, double q2a_over_ma2,
+                                                 double jinv0, double jinv1, double wi) {
   // wi is the packed weight qw * detJ * r; the outer measure carries the
   // explicit 2 pi of the axisymmetric weak form (the inner 2 pi is already
   // folded into the elliptic-integral tensors).
@@ -68,7 +79,6 @@ LANDAU_DEVICE inline PointCoeffs transform_point(const InnerAccum& g, double nu0
   const double w2pi = 2.0 * 3.14159265358979323846 * wi;
   const double ck = nu0 * q2a_over_ma;
   const double cd = -nu0 * q2a_over_ma2;
-  (void)q2a;
   p.kk_r = jinv0 * ck * g.gk_r * w2pi;
   p.kk_z = jinv1 * ck * g.gk_z * w2pi;
   p.dd00 = jinv0 * jinv0 * cd * g.gd00 * w2pi;

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "util/simd.h"
 #include "util/table_writer.h"
 
 namespace landau::obs {
@@ -18,30 +19,49 @@ double seconds_since(clock::time_point t0) {
   return std::chrono::duration<double>(clock::now() - t0).count();
 }
 
-/// FP64 FMA throughput: eight independent accumulator chains so the loop is
-/// throughput-limited (not latency-limited), repeated until the budget is
-/// spent. The compiler cannot fold the chains — the multiplier is read from
-/// a volatile.
-double measure_fma_gflops(double budget_seconds) {
+/// FP64 multiply-add throughput at lane type V: eight independent chains of
+/// W doubles, so the loop is throughput-limited (not latency-limited),
+/// repeated until the budget is spent. The compiler cannot fold the chains —
+/// the multiplier is read from a volatile.
+template <class V>
+[[gnu::always_inline]] inline double multiply_add_gflops(double budget_seconds) {
+  constexpr int W = lanes::kWidth<V>;
   volatile double vm = 1.0000001, vb = 1e-9;
   const double m = vm, b = vb;
-  double acc[8] = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8};
+  V acc[8];
+  for (int c = 0; c < 8; ++c)
+    for (int l = 0; l < W; ++l) acc[c][l] = 0.1 * (c + 1) + 0.01 * l;
   constexpr int kInner = 4096;
   std::int64_t flops = 0;
   const auto t0 = clock::now();
   double elapsed = 0.0;
   do {
     for (int i = 0; i < kInner; ++i)
-      for (double& a : acc) a = a * m + b;
-    flops += 2ll * kInner * 8; // one mul + one add per chain step
+      for (V& a : acc) a = a * m + b;
+    flops += 2ll * kInner * 8 * W; // one mul + one add per lane and chain step
     elapsed = seconds_since(t0);
   } while (elapsed < budget_seconds);
   // Fold the accumulators into a volatile sink so the chains are observable.
   double s = 0.0;
-  for (double a : acc) s += a;
+  for (const V& a : acc)
+    for (int l = 0; l < W; ++l) s += a[l];
   volatile double sink = s;
   (void)sink;
   return 1e-9 * static_cast<double>(flops) / elapsed;
+}
+
+#if defined(__x86_64__)
+__attribute__((target("avx2"))) double multiply_add_gflops_avx2(double budget_seconds) {
+  return multiply_add_gflops<lanes::f64x4>(budget_seconds);
+}
+#endif
+
+/// The multiply-add peak at the width the inner integral runs at.
+double measure_fma_gflops(double budget_seconds) {
+#if defined(__x86_64__)
+  if (simd_variant() == SimdVariant::Avx2) return multiply_add_gflops_avx2(budget_seconds);
+#endif
+  return multiply_add_gflops<lanes::f64x2>(budget_seconds);
 }
 
 /// Streaming read bandwidth: sum a working set far beyond L2 so the loads
@@ -83,6 +103,7 @@ MachinePeaks calibrate_peaks(double budget_seconds, bool recalibrate) {
   if (have && !recalibrate) return cached;
   const auto t0 = clock::now();
   MachinePeaks p;
+  p.simd_variant = simd_variant_name();
   p.fma_gflops = measure_fma_gflops(budget_seconds * 0.5);
   p.stream_gbs = measure_stream_gbs(budget_seconds * 0.5);
   p.calibration_seconds = seconds_since(t0);
@@ -110,7 +131,8 @@ std::string roofline_report(const std::vector<RooflineEntry>& entries, const Mac
                             const exec::DeviceSpec& device) {
   std::ostringstream caption;
   caption << "roofline placement — host peaks " << std::fixed << std::setprecision(2)
-          << host.fma_gflops << " Gflop/s FMA, " << host.stream_gbs << " GB/s stream (knee "
+          << host.fma_gflops << " Gflop/s FMA (" << host.simd_variant << "), "
+          << host.stream_gbs << " GB/s stream (knee "
           << host.knee() << "), device model " << device.name;
   TableWriter table(caption.str());
   table.header({"kernel", "AI (f/B)", "bound", "Gflop", "host %attainable", "host Gflop/s",
@@ -135,6 +157,7 @@ JsonValue roofline_json(const std::vector<RooflineEntry>& entries, const Machine
                         const exec::DeviceSpec& device) {
   JsonValue out = JsonValue::object();
   JsonValue hostj = JsonValue::object();
+  hostj.set("simd_variant", host.simd_variant);
   hostj.set("fma_gflops", host.fma_gflops);
   hostj.set("stream_gbs", host.stream_gbs);
   hostj.set("knee_flops_per_byte", host.knee());

@@ -23,7 +23,8 @@ namespace landau::obs {
 
 /// Host peaks measured by calibrate_peaks().
 struct MachinePeaks {
-  double fma_gflops = 0.0;  // sustained FP64 FMA throughput, one core
+  const char* simd_variant = ""; // simd_variant_name() the FMA peak ran at
+  double fma_gflops = 0.0;  // sustained FP64 multiply-add throughput, one core
   double stream_gbs = 0.0;  // sustained streaming read bandwidth, one core
   double calibration_seconds = 0.0;
 
@@ -31,7 +32,8 @@ struct MachinePeaks {
   double knee() const { return stream_gbs > 0 ? fma_gflops / stream_gbs : 0.0; }
 };
 
-/// Measure host FP64 FMA throughput and streaming bandwidth. `budget_seconds`
+/// Measure host FP64 multiply-add throughput, at the SIMD width the Landau
+/// inner integral runs at (util/simd.h), and streaming bandwidth. `budget_seconds`
 /// bounds the total calibration time (split between the two loops); the
 /// result is cached after the first call (pass `recalibrate` to force).
 MachinePeaks calibrate_peaks(double budget_seconds = 0.1, bool recalibrate = false);

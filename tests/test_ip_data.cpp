@@ -66,7 +66,7 @@ TEST(IPData, SpeciesMajorAddressing) {
 
 TEST(IPData, SpeciesSumsMatchPerSpeciesRecomputation) {
   // The kernels read a source point's species only through pack's sums; each
-  // must be bitwise the species-order sum with JacobianContext's coefficients.
+  // must be bitwise the species-order sum with the Species coefficients.
   SpeciesSet species({{.name = "e", .mass = 1.0, .charge = -1.0},
                       {.name = "D", .mass = 3.7, .charge = 1.0},
                       {.name = "Z3", .mass = 11.3, .charge = 3.0}});
@@ -79,20 +79,32 @@ TEST(IPData, SpeciesSumsMatchPerSpeciesRecomputation) {
     return (1.0 + s) * std::exp(-(r * r + (z - 0.3 * s) * (z - 0.3 * s)));
   }));
   const IPData& ip = op.ip_data();
-  JacobianContext ctx;
-  ctx.init(op.space(), op.species(), ip);
-  ASSERT_EQ(ip.sum_f.size(), ip.n);
+  ASSERT_EQ(ip.sum_f.size(), ip.n_padded());
   for (std::size_t j = 0; j < ip.n; ++j) {
     double sum_dfr = 0, sum_dfz = 0, sum_f = 0;
     for (int b = 0; b < ip.n_species; ++b) {
-      const auto sb = static_cast<std::size_t>(b);
-      sum_dfr += ctx.q2_over_m[sb] * ip.dfr_at(b, j);
-      sum_dfz += ctx.q2_over_m[sb] * ip.dfz_at(b, j);
-      sum_f += ctx.q2[sb] * ip.f_at(b, j);
+      sum_dfr += species[b].q2_over_m() * ip.dfr_at(b, j);
+      sum_dfz += species[b].q2_over_m() * ip.dfz_at(b, j);
+      sum_f += species[b].q2() * ip.f_at(b, j);
     }
     EXPECT_EQ(ip.sum_dfr[j], sum_dfr) << "j=" << j;
     EXPECT_EQ(ip.sum_dfz[j], sum_dfz) << "j=" << j;
     EXPECT_EQ(ip.sum_f[j], sum_f) << "j=" << j;
+  }
+}
+
+TEST(IPData, StreamedArraysArePaddedWithZeroWeightPoints) {
+  // The six arrays the kernels stream end on a whole SIMD chunk; the padding
+  // points carry nothing. n stays the real count.
+  auto op = make_operator(2);
+  op.pack(op.project([](int, double r, double z) { return 1.0 + r * z; }));
+  const IPData& ip = op.ip_data();
+  EXPECT_EQ(ip.n, op.space().n_ips());
+  EXPECT_EQ(ip.n_padded() % kIpChunk, 0u);
+  EXPECT_LT(ip.n_padded() - ip.n, kIpChunk);
+  for (const auto* v : {&ip.r, &ip.z, &ip.w, &ip.sum_dfr, &ip.sum_dfz, &ip.sum_f}) {
+    ASSERT_EQ(v->size(), ip.n_padded());
+    for (std::size_t j = ip.n; j < ip.n_padded(); ++j) EXPECT_EQ((*v)[j], 0.0);
   }
 }
 

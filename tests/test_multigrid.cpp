@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/kernel_math.h"
 #include "core/operator.h"
+#include "exec/counters.h"
 #include "solver/implicit.h"
 #include "util/special_math.h"
 
@@ -204,4 +206,32 @@ TEST(MultiGrid, FewerEquationsThanSharedGrid) {
     for (const auto& lf : g.forest.leaves()) hmin = std::min(hmin, lf.box.dx());
     EXPECT_LE(hmin, species[s].thermal_speed() / 0.5);
   }
+}
+
+TEST(MultiGrid, KernelCountsOnlyGridSpeciesElementWork) {
+  // Each grid's kernel forms element matrices for its own species only: the
+  // counted flops are the inner pairs over all grids' points plus, per grid,
+  // cells x grid species x nq nb^2 x 13.
+  SpeciesSet sp({{.name = "e", .mass = 1.0, .charge = -1.0, .density = 1.0, .temperature = 1.0},
+                 {.name = "e2", .mass = 1.5, .charge = -1.0, .density = 0.5, .temperature = 1.0},
+                 {.name = "i", .mass = 100.0, .charge = 2.0, .density = 0.75, .temperature = 1.0}});
+  LandauOperator op(sp, mg_opts(), 2.0);
+  ASSERT_EQ(op.n_grids(), 2);
+  ASSERT_EQ(op.options().backend, Backend::CudaSim);
+  op.pack(op.maxwellian_state());
+  la::CsrMatrix j = op.new_matrix();
+  exec::KernelCounters counters;
+  op.add_collision(j, &counters);
+
+  const auto n = static_cast<std::int64_t>(op.n_ips_total());
+  std::int64_t expected = 0;
+  for (int g = 0; g < op.n_grids(); ++g) {
+    const auto& fes = *op.grid(g).fes;
+    const auto cells = static_cast<std::int64_t>(fes.n_cells());
+    const std::int64_t nq = fes.tabulation().n_quad(), nb = fes.tabulation().n_basis();
+    const auto n_grid_species = static_cast<std::int64_t>(op.grid(g).species.size());
+    expected += cells * nq * n * detail::inner_flops();
+    expected += cells * n_grid_species * nq * nb * nb * 13;
+  }
+  EXPECT_EQ(counters.flops.load(), expected);
 }

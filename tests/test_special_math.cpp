@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "core/landau_tensor.h"
@@ -35,6 +37,14 @@ double ulps(double x, long double ref) {
   const double r = std::abs(static_cast<double>(ref));
   const double ulp = std::nextafter(r, std::numeric_limits<double>::infinity()) - r;
   return static_cast<double>(std::abs(x - ref) / ulp);
+}
+
+/// The K/E parameter sweep, m1 in [1e-300, 1]: log-spaced to follow the
+/// logarithmic singularity of K at m1 -> 0 (nearby points), then uniform.
+template <class F> void sweep_m1(F&& check) {
+  const int n = 100000;
+  for (int i = 0; i <= n; ++i) check(std::pow(10.0, -300.0 * i / n));
+  for (int i = 0; i < n; ++i) check((i + 0.5) / n);
 }
 
 /// Worst K and E error in ulp over the given parameters.
@@ -102,19 +112,15 @@ TEST(Elliptic, NearOneLimitFinite) {
 }
 
 TEST(Elliptic, PolynomialWithin4UlpOfReference) {
-  // The kernels' K and E over m1 in [1e-300, 1]: log-spaced to follow the
-  // logarithmic singularity of K at m1 -> 0 (nearby points), then uniform.
+  // The kernels' K and E over the m1 sweep.
   WorstUlps worst;
-  auto check = [&](double m1) {
+  sweep_m1([&](double m1) {
     long double K_ref, E_ref;
     reference_ke(m1, &K_ref, &E_ref);
     double K, E;
     elliptic_ke_poly(m1, &K, &E);
     worst.add(ulps(K, K_ref), ulps(E, E_ref), m1);
-  };
-  const int n = 100000;
-  for (int i = 0; i <= n; ++i) check(std::pow(10.0, -300.0 * i / n));
-  for (int i = 0; i < n; ++i) check((i + 0.5) / n);
+  });
   EXPECT_LE(worst.k, 4.0) << "at m1=" << worst.k_at;
   EXPECT_LE(worst.e, 4.0) << "at m1=" << worst.e_at;
 
@@ -122,6 +128,22 @@ TEST(Elliptic, PolynomialWithin4UlpOfReference) {
   elliptic_ke_poly(1.0, &K, &E);
   EXPECT_EQ(K, kPi / 2);
   EXPECT_EQ(E, kPi / 2);
+}
+
+TEST(Elliptic, InlineLogWithin1UlpOfLongDouble) {
+  // K and E take log(m1) from the branch-free lane_log, not std::log.
+  double worst = 0, worst_at = 0;
+  sweep_m1([&](double m1) {
+    double l;
+    landau::lane_log(m1, &l);
+    const double u = ulps(l, std::log(static_cast<long double>(m1)));
+    if (u > worst) worst = u, worst_at = m1;
+  });
+  EXPECT_LE(worst, 1.0) << "at m1=" << worst_at;
+  // log(1) is +0 exactly, which keeps K = E = pi/2 exact at m1 = 1.
+  double l;
+  landau::lane_log(1.0, &l);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(l), 0u);
 }
 
 TEST(Maxwellian, NormalizationIn3V) {
