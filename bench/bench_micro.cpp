@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <random>
 
 #include "core/inner_tile.h"
@@ -87,21 +88,41 @@ static void BM_InnerTile(benchmark::State& state) {
 }
 BENCHMARK(BM_InnerTile);
 
+// The band LU factor alone, at the variant this CPU runs: each iteration
+// restores the values into a preallocated matrix untimed and times
+// factor_lu. Shapes (n, bandwidth): two narrow bands, and the species10 and
+// quench_ed band blocks of perfbench. "flops" is the factor's own flop count
+// per second.
 static void BM_BandLUFactor(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const std::size_t bw = 12;
-  la::BandMatrix proto(n, bw, bw);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto bw = static_cast<std::size_t>(state.range(1));
+  la::BandMatrix proto(n, bw, bw), b(n, bw, bw);
   std::mt19937 rng(7);
   std::uniform_real_distribution<double> dist(-1, 1);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = (i > bw ? i - bw : 0); j <= std::min(n - 1, i + bw); ++j)
-      proto.at(i, j) = i == j ? 30.0 : dist(rng);
+      proto.at(i, j) = i == j ? 2.5 * static_cast<double>(bw) : dist(rng);
+  std::int64_t flops = 0;
   for (auto _ : state) {
-    la::BandMatrix b = proto;
-    benchmark::DoNotOptimize(b.factor_lu());
+    std::copy(proto.data().begin(), proto.data().end(), b.data().begin());
+    const auto t0 = std::chrono::steady_clock::now();
+    flops = b.factor_lu();
+    benchmark::DoNotOptimize(flops);
+    benchmark::ClobberMemory();
+    state.SetIterationTime(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
   }
+  state.counters["flops"] =
+      benchmark::Counter(static_cast<double>(flops), benchmark::Counter::kIsIterationInvariantRate);
+  state.SetLabel(simd_variant_name());
 }
-BENCHMARK(BM_BandLUFactor)->Arg(200)->Arg(800);
+BENCHMARK(BM_BandLUFactor)
+    ->Args({200, 12})
+    ->Args({800, 12})
+    ->Args({1006, 153})
+    ->Args({691, 159})
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 static void BM_RcmOrdering(benchmark::State& state) {
   const std::size_t n = 500;

@@ -3,8 +3,6 @@
 
 #include "core/inner_tile.h"
 
-#include <cstring>
-
 #include "util/error.h"
 #include "util/simd.h"
 
@@ -16,12 +14,8 @@ double fold8(const double* p) {
   return ((p[0] + p[4]) + (p[2] + p[6])) + ((p[1] + p[5]) + (p[3] + p[7]));
 }
 
-template <class V> [[gnu::always_inline]] inline void load(const double* p, V* v) {
-  std::memcpy(v, p, sizeof(V));
-}
-template <class V> [[gnu::always_inline]] inline void store(const V& v, double* p) {
-  std::memcpy(p, &v, sizeof(V));
-}
+using lanes::load;
+using lanes::store;
 
 /// One chunk at lane type V: slots [g W, g W + W) form lane group g.
 template <class V>

@@ -6,6 +6,7 @@
 #include "la/rcm.h"
 #include "util/error.h"
 #include "util/profiler.h"
+#include "util/simd.h"
 
 namespace landau::la {
 
@@ -53,31 +54,176 @@ void BandMatrix::reshape(std::size_t n, std::size_t lbw, std::size_t ubw) {
   std::fill(data_.begin(), data_.begin() + static_cast<std::ptrdiff_t>(need), 0.0);
 }
 
-std::int64_t BandMatrix::factor_lu() {
-  // Outer-product banded LU without pivoting (Golub & Van Loan 4.3.1):
-  // for each column k, scale the sub-column by 1/pivot and apply a B x B
-  // rank-one update to the dense sub-block A(k+1:k+lbw, k+1:k+ubw).
-  std::int64_t flops = 0;
-  for (std::size_t k = 0; k < n_; ++k) {
-    const double piv = at(k, k);
-    // The negated comparison also rejects NaN pivots (NaN < x is false for
-    // every x), so a poisoned matrix throws instead of factoring into NaNs.
-    if (!(std::abs(piv) >= 1e-300) || !std::isfinite(piv))
-      LANDAU_THROW("zero or non-finite pivot in banded LU at row " << k);
-    const double inv = 1.0 / piv;
-    const std::size_t imax = std::min(n_ - 1, k + lbw_);
-    const std::size_t jmax = std::min(n_ - 1, k + ubw_);
-    for (std::size_t i = k + 1; i <= imax && i < n_; ++i) {
-      const double m = at(i, k) * inv;
-      at(i, k) = m;
-      ++flops;
-      for (std::size_t j = k + 1; j <= jmax; ++j) {
-        at(i, j) -= m * at(k, j);
-        flops += 2;
-      }
+namespace {
+
+// Blocked banded LU, right-looking, in panels of kPanel columns. Three phases
+// per panel [k0, k1):
+//   panel    — the pivots, the multipliers and the updates inside the
+//              panel's own columns (the outer-product loop on those columns);
+//   U12      — the panel's rows right of the panel, in row order;
+//   trailing — the panel's rank-one updates on the block below and right of
+//              it, in register tiles of kTileRows rows by two vectors of W
+//              lanes (4 x 8 at W = 4, 4 x 4 at W = 2: eight accumulators,
+//              which leaves registers for the pivot row and the multiplier).
+// The factors are bit for bit those of the outer-product loop of Golub & Van
+// Loan 4.3.1, which the device factor (la/band_device.cpp) keeps: every entry
+// A(i,j) takes the updates A(i,j) -= m_ik u_kj one at a time, in increasing
+// k, for exactly the k of that loop, max(0, i-lbw, j-ubw) <= k < min(i,j),
+// with the same m_ik and u_kj. Only the order across entries changes. A
+// band-edge entry, whose first k lies inside the panel, is updated in
+// row_update from that k on; it never takes a zero update (-0 - +0 is -0 but
+// -0 - -0 is +0, and inf * 0 is NaN). The file is built with
+// -ffp-contract=off, so no multiply-add fuses at any lane width.
+constexpr std::size_t kPanel = 8;
+constexpr std::size_t kTileRows = 4;
+
+using lanes::load;
+using lanes::store;
+
+/// Band storage addressed by row: row(i)[j] is A(i,j) for in-band (i,j).
+struct Rows {
+  double* base;       // &A(0,0)
+  std::size_t stride; // lbw + ubw: row(i+1) - row(i)
+  std::size_t n, lbw, ubw;
+  double* row(std::size_t i) const { return base + i * stride; }
+};
+
+/// Row i takes the updates of pivots [k0, k1) on its columns from j0 up to
+/// the band edge of each pivot row, min(n, k + ubw + 1): the outer-product
+/// loop's row order, W columns at a time.
+template <class V>
+[[gnu::always_inline]] inline void row_update(const Rows& a, std::size_t i, std::size_t k0,
+                                              std::size_t k1, std::size_t j0) {
+  constexpr std::size_t W = lanes::kWidth<V>;
+  double* ai = a.row(i);
+  for (std::size_t k = k0; k < k1; ++k) {
+    const double m = ai[k];
+    const double* ak = a.row(k);
+    const std::size_t j1 = std::min(a.n, k + a.ubw + 1);
+    std::size_t j = j0;
+    for (; j + W <= j1; j += W) {
+      V c, u;
+      load(ai + j, &c);
+      load(ak + j, &u);
+      c -= m * u;
+      store(c, ai + j);
+    }
+    for (; j < j1; ++j) ai[j] -= m * ak[j];
+  }
+}
+
+/// Rows [i, i + kTileRows) x columns [j, j + NV W) take all kPanel updates of
+/// the panel starting at k0, held in registers throughout. Every entry must
+/// lie inside the band for every pivot of the panel.
+template <class V, std::size_t NV>
+[[gnu::always_inline]] inline void tile_update(const Rows& a, std::size_t i, std::size_t j,
+                                               std::size_t k0) {
+  constexpr std::size_t W = lanes::kWidth<V>;
+  double* r[kTileRows];
+  V c[kTileRows][NV];
+  for (std::size_t t = 0; t < kTileRows; ++t) {
+    r[t] = a.row(i + t);
+    for (std::size_t v = 0; v < NV; ++v) load(r[t] + j + v * W, &c[t][v]);
+  }
+  for (std::size_t k = k0; k < k0 + kPanel; ++k) {
+    V u[NV];
+    for (std::size_t v = 0; v < NV; ++v) load(a.row(k) + j + v * W, &u[v]);
+    for (std::size_t t = 0; t < kTileRows; ++t) {
+      const double m = r[t][k];
+      for (std::size_t v = 0; v < NV; ++v) c[t][v] -= m * u[v];
     }
   }
+  for (std::size_t t = 0; t < kTileRows; ++t)
+    for (std::size_t v = 0; v < NV; ++v) store(c[t][v], r[t] + j + v * W);
+}
+
+/// The trailing update of the full panel [k0, k0 + kPanel): rows and
+/// columns from k1 = k0 + kPanel to the band edge. Entries with
+/// i <= k0 + lbw and j <= k0 + ubw take every pivot of the panel and go
+/// through tiles; the rest of each row goes through row_update.
+template <class V>
+[[gnu::always_inline]] inline void trailing_update(const Rows& a, std::size_t k0) {
+  constexpr std::size_t W = lanes::kWidth<V>;
+  const std::size_t k1 = k0 + kPanel;
+  const std::size_t iend = std::min(a.n, k1 + a.lbw);
+  const std::size_t ifull = std::min(iend, k0 + a.lbw + 1);
+  const std::size_t jfull = std::min(a.n, k0 + a.ubw + 1);
+  std::size_t i = k1;
+  for (; i + kTileRows <= ifull; i += kTileRows) {
+    std::size_t j = k1;
+    for (; j + 2 * W <= jfull; j += 2 * W) tile_update<V, 2>(a, i, j, k0);
+    for (; j + W <= jfull; j += W) tile_update<V, 1>(a, i, j, k0);
+    for (std::size_t t = 0; t < kTileRows; ++t) row_update<V>(a, i + t, k0, k1, j);
+  }
+  for (; i < iend; ++i) row_update<V>(a, i, i > k0 + a.lbw ? i - a.lbw : k0, k1, k1);
+}
+
+template <class V> [[gnu::always_inline]] inline std::int64_t factor_blocked(BandMatrix& band) {
+  const std::size_t n = band.size();
+  if (n == 0) return 0; // empty storage may have no address to offset
+  const std::size_t lbw = band.lower_bandwidth(), ubw = band.upper_bandwidth();
+  const Rows a{band.data().data() + lbw, lbw + ubw, n, lbw, ubw};
+  std::int64_t flops = 0;
+  for (std::size_t k0 = 0; k0 < n; k0 += kPanel) {
+    const std::size_t k1 = std::min(n, k0 + kPanel);
+    for (std::size_t k = k0; k < k1; ++k) {
+      const double* ak = a.row(k);
+      const double piv = ak[k];
+      // The negated comparison also rejects NaN pivots (NaN < x is false for
+      // every x), so a poisoned matrix throws instead of factoring into NaNs.
+      if (!(std::abs(piv) >= 1e-300) || !std::isfinite(piv))
+        LANDAU_THROW("zero or non-finite pivot in banded LU at row " << k);
+      const double inv = 1.0 / piv;
+      const std::size_t iend = std::min(n, k + lbw + 1);
+      const std::size_t jend = std::min(n, k + ubw + 1);
+      flops += static_cast<std::int64_t>(iend - k - 1) *
+               (1 + 2 * static_cast<std::int64_t>(jend - k - 1));
+      const std::size_t jpanel = std::min(jend, k1);
+      for (std::size_t i = k + 1; i < iend; ++i) {
+        double* ai = a.row(i);
+        const double m = ai[k] * inv;
+        ai[k] = m;
+        for (std::size_t j = k + 1; j < jpanel; ++j) ai[j] -= m * ak[j];
+      }
+    }
+    for (std::size_t i = k0 + 1; i < k1; ++i)
+      row_update<V>(a, i, i > k0 + lbw ? i - lbw : k0, i, k1);
+    if (k1 - k0 == kPanel) trailing_update<V>(a, k0);
+  }
   return flops;
+}
+
+std::int64_t factor_w2(BandMatrix& band) { return factor_blocked<lanes::f64x2>(band); }
+
+#if defined(__x86_64__)
+__attribute__((target("avx2"))) std::int64_t factor_w4(BandMatrix& band) {
+  return factor_blocked<lanes::f64x4>(band);
+}
+#endif
+
+using FactorFn = std::int64_t (*)(BandMatrix&);
+
+FactorFn factor_at_width(int width) {
+  switch (width) {
+    case 2: return factor_w2;
+#if defined(__x86_64__)
+    case 4:
+      LANDAU_ASSERT(simd_variant() == SimdVariant::Avx2, "lane width 4 needs AVX2");
+      return factor_w4;
+#endif
+  }
+  LANDAU_THROW("factor_lu: no lane width " << width);
+}
+
+} // namespace
+
+std::int64_t BandMatrix::factor_lu() {
+  static const FactorFn fn = factor_at_width(simd_width());
+  return fn(*this);
+}
+
+std::int64_t detail::factor_lu_at_width(BandMatrix& a, int width) {
+  return factor_at_width(width)(a);
 }
 
 void BandMatrix::solve(const Vec& b, Vec& x) const {

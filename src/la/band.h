@@ -1,9 +1,11 @@
 #pragma once
 // Band-storage matrix and the custom banded LU solver described in §III-G:
-// reverse Cuthill–McKee ordering minimizes bandwidth, then the standard
-// outer-product form of banded LU (Golub & Van Loan, Algorithm 4.3.1) factors
-// the matrix in place without pivoting. Landau Jacobians are structurally
-// symmetric, so LBW == UBW in practice, but the storage supports LBW != UBW.
+// reverse Cuthill–McKee ordering minimizes bandwidth, then banded LU factors
+// the matrix in place without pivoting. The host factor is a blocked form of
+// the outer-product banded LU (Golub & Van Loan, Algorithm 4.3.1) with the
+// same factors bit for bit; the device factor (la/band_device.h) keeps the
+// outer-product form. Landau Jacobians are structurally symmetric, so
+// LBW == UBW in practice, but the storage supports LBW != UBW.
 //
 // Symbolic-reuse contract (the §III-G amortization): analyze() runs the
 // expensive pattern work once — RCM, diagonal-block discovery, per-block band
@@ -66,9 +68,12 @@ public:
     return (j + lbw_ >= i) && (j <= i + ubw_);
   }
 
-  /// In-place LU factorization without pivoting (outer-product form). Throws
-  /// on a (near-)zero pivot. Returns the number of floating point operations
-  /// performed (used by the roofline bench).
+  /// In-place LU factorization without pivoting: blocked in 8-column panels
+  /// with SIMD register tiles at simd_width(), giving bit for bit the factors
+  /// of the outer-product form (device_band_factor). Throws landau::Error on
+  /// a zero, NaN or non-finite pivot, naming its row. Returns the flop count
+  /// of the outer-product form, sum over k of (imax-k)(1 + 2(jmax-k)).
+  /// Allocates nothing.
   std::int64_t factor_lu();
 
   /// Solve LU x = b after factor_lu(); b and x may alias.
@@ -86,6 +91,12 @@ private:
   std::size_t n_ = 0, lbw_ = 0, ubw_ = 0, width_ = 1;
   std::vector<double> data_;
 };
+
+namespace detail {
+/// BandMatrix::factor_lu at an explicit lane width: 2, or 4 (needs AVX2).
+/// For tests; the factors come out bitwise the same at every width.
+std::int64_t factor_lu_at_width(BandMatrix& a, int width);
+} // namespace detail
 
 /// One diagonal block of the permuted matrix: rows [begin, end) in the
 /// permuted ordering.

@@ -12,7 +12,9 @@
 //  * triangular solves: each row's dot product is computed lane-parallel
 //    and combined with the warp-shuffle butterfly.
 //
-// Produces bitwise-comparable factors to the serial BandMatrix::factor_lu.
+// This outer-product form is the oracle of the host factor: the blocked
+// BandMatrix::factor_lu must give the same factors bit for bit, and the same
+// flop count.
 
 #include <span>
 #include <vector>

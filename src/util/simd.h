@@ -1,17 +1,18 @@
 #pragma once
 // SIMD lane types and the host's SIMD variant, queried once per process. The
-// Landau inner integral (core/inner_tile.cpp) runs at the variant's width,
-// and the roofline peak calibration (obs/roofline.cpp) times its
-// multiply-add chains at the same width, so a kernel's "% of peak" compares
-// like with like.
+// Landau inner integral (core/inner_tile.cpp) and the blocked band LU
+// (la/band.cpp) run at the variant's width, and the roofline peak
+// calibration (obs/roofline.cpp) times its multiply-add chains at the same
+// width, so a kernel's "% of peak" compares like with like.
 //
-// The choice affects speed only: the inner integral is bitwise the same at
-// every width. Wide types are GCC vector extensions; code at width 4 must sit
-// in a function carrying __attribute__((target("avx2"))), and no function
-// takes or returns a vector by value (that would change its ABI with the
-// target and draw -Wpsabi).
+// The choice affects speed only: the inner integral and the band LU factors
+// are bitwise the same at every width. Wide types are GCC vector extensions;
+// code at width 4 must sit in a function carrying
+// __attribute__((target("avx2"))), and no function takes or returns a vector
+// by value (that would change its ABI with the target and draw -Wpsabi).
 
 #include <cstdint>
+#include <cstring>
 
 namespace landau {
 
@@ -32,6 +33,14 @@ template <> struct Bits<f64x4> { using type = u64x4; };
 
 /// Doubles per lane type: 1, 2 or 4.
 template <class V> inline constexpr int kWidth = static_cast<int>(sizeof(V) / sizeof(double));
+
+/// Lane type V from, and to, kWidth<V> doubles at p (no alignment needed).
+template <class V> [[gnu::always_inline]] inline void load(const double* p, V* v) {
+  std::memcpy(v, p, sizeof(V));
+}
+template <class V> [[gnu::always_inline]] inline void store(const V& v, double* p) {
+  std::memcpy(p, &v, sizeof(V));
+}
 
 } // namespace lanes
 

@@ -1,45 +1,118 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <random>
 
 #include "la/band_device.h"
+#include "util/simd.h"
 
 using namespace landau;
 using namespace landau::la;
 
 namespace {
 
-BandMatrix random_band(std::size_t n, std::size_t bw, unsigned seed) {
+/// A seeded diagonally dominant band of shape (n, lbw, ubw).
+BandMatrix random_band(std::size_t n, std::size_t lbw, std::size_t ubw, unsigned seed) {
   std::mt19937 rng(seed);
   std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  BandMatrix b(n, bw, bw);
+  BandMatrix b(n, lbw, ubw);
   for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = (i > bw ? i - bw : 0); j <= std::min(n - 1, i + bw); ++j)
-      b.at(i, j) = i == j ? 4.0 * static_cast<double>(bw) + 2.0 : dist(rng);
+    for (std::size_t j = (i > lbw ? i - lbw : 0); j <= std::min(n - 1, i + ubw); ++j)
+      b.at(i, j) = i == j ? 2.0 * static_cast<double>(lbw + ubw) + 2.0 : dist(rng);
   return b;
+}
+
+struct Shape {
+  std::size_t n, lbw, ubw;
+};
+
+/// The host/device factor sweep: n of 0, 1 and less than a panel (8), one
+/// band side zero, bands narrower than a tile, lbw != ubw, a species10 block
+/// (1006 x 153), and 100 seeded shapes with n <= 300 and lbw, ubw < 40.
+std::vector<Shape> sweep_shapes() {
+  std::vector<Shape> s = {{0, 0, 0},      {0, 3, 2},     {1, 0, 0},    {1, 2, 5},
+                          {5, 3, 1},      {7, 0, 6},     {7, 6, 0},    {8, 8, 8},
+                          {9, 1, 1},      {17, 8, 8},    {40, 12, 12}, {60, 5, 5},
+                          {200, 7, 7},    {250, 3, 30},  {300, 39, 0}, {300, 0, 39},
+                          {1006, 153, 153}};
+  std::mt19937 rng(2024);
+  for (int k = 0; k < 100; ++k) {
+    const std::size_t n = rng() % 301, lbw = rng() % 40, ubw = rng() % 40;
+    s.push_back({n, lbw, ubw});
+  }
+  return s;
+}
+
+/// The outer-product factor's flop count, sum over k of
+/// (imax - k)(1 + 2 (jmax - k)).
+std::int64_t outer_product_flops(const Shape& s) {
+  std::int64_t flops = 0;
+  for (std::size_t k = 0; k < s.n; ++k) {
+    const auto rows = static_cast<std::int64_t>(std::min(s.n - 1, k + s.lbw) - k);
+    const auto cols = static_cast<std::int64_t>(std::min(s.n - 1, k + s.ubw) - k);
+    flops += rows * (1 + 2 * cols);
+  }
+  return flops;
+}
+
+/// Every stored double of a and b has the same bit pattern (so +0 and -0
+/// differ); reports the first difference.
+void expect_same_bits(const BandMatrix& a, const BandMatrix& b) {
+  ASSERT_EQ(a.data().size(), b.data().size());
+  for (std::size_t q = 0; q < a.data().size(); ++q)
+    if (std::bit_cast<std::uint64_t>(a.data()[q]) != std::bit_cast<std::uint64_t>(b.data()[q])) {
+      ADD_FAILURE() << "storage index " << q << " is " << a.data()[q] << ", not " << b.data()[q];
+      return;
+    }
 }
 
 } // namespace
 
 TEST(DeviceBand, FactorMatchesSerialBitwise) {
+  // The host factor is blocked (8-column panels, SIMD register tiles); the
+  // device factor keeps the outer-product form of §III-G and is the oracle.
+  // They must agree bit for bit at every lane width, and both must report
+  // the outer-product flop count. About one in eight off-diagonal entries is
+  // a signed zero, so an update the outer-product loop does not make (a zero
+  // update on the band edge) changes a sign.
   exec::ThreadPool pool(2);
-  for (unsigned seed : {1u, 2u, 3u}) {
-    BandMatrix serial = random_band(60, 5, seed);
-    BandMatrix device = serial;
-    serial.factor_lu();
+  std::vector<int> widths = {2};
+  if (simd_variant() == SimdVariant::Avx2) widths.push_back(4);
+  unsigned seed = 0;
+  for (const Shape& s : sweep_shapes()) {
+    SCOPED_TRACE(::testing::Message() << "n " << s.n << ", lbw " << s.lbw << ", ubw " << s.ubw);
+    BandMatrix a = random_band(s.n, s.lbw, s.ubw, ++seed);
+    std::mt19937 rng(seed);
+    for (std::size_t i = 0; i < s.n; ++i)
+      for (std::size_t j = (i > s.lbw ? i - s.lbw : 0); j <= std::min(s.n - 1, i + s.ubw); ++j)
+        if (i != j && rng() % 8 == 0) a.at(i, j) = rng() % 2 == 0 ? 0.0 : -0.0;
+    const std::int64_t flops = outer_product_flops(s);
+
+    BandMatrix device = a;
     BandMatrix* ptr = &device;
-    device_band_factor(pool, {&ptr, 1});
-    for (std::size_t i = 0; i < 60; ++i)
-      for (std::size_t j = (i > 5 ? i - 5 : 0); j <= std::min<std::size_t>(59, i + 5); ++j)
-        EXPECT_EQ(device.at(i, j), serial.at(i, j)) << "(" << i << "," << j << ")";
+    exec::KernelCounters counters;
+    device_band_factor(pool, {&ptr, 1}, &counters);
+    EXPECT_EQ(counters.flops.load(), flops);
+
+    for (int w : widths) {
+      SCOPED_TRACE(::testing::Message() << "W = " << w);
+      BandMatrix host = a;
+      EXPECT_EQ(detail::factor_lu_at_width(host, w), flops);
+      expect_same_bits(host, device);
+    }
+    SCOPED_TRACE(simd_variant_name());
+    BandMatrix host = a;
+    EXPECT_EQ(host.factor_lu(), flops);
+    expect_same_bits(host, device);
   }
 }
 
 TEST(DeviceBand, SolveMatchesSerial) {
   exec::ThreadPool pool(2);
-  BandMatrix a = random_band(80, 7, 11);
+  BandMatrix a = random_band(80, 7, 7, 11);
   BandMatrix lu = a;
   lu.factor_lu();
   Vec xref(80), b(80);
@@ -67,7 +140,7 @@ TEST(DeviceBand, BatchOfIndependentSystems) {
   std::vector<Vec*> xptr;
   for (int k = 0; k < batch; ++k) {
     const std::size_t n = 20 + 5 * static_cast<std::size_t>(k);
-    BandMatrix a = random_band(n, 3, 100u + static_cast<unsigned>(k));
+    BandMatrix a = random_band(n, 3, 3, 100u + static_cast<unsigned>(k));
     Vec xref(n), b(n);
     for (std::size_t i = 0; i < n; ++i) xref[i] = std::cos(static_cast<double>(i) + k);
     a.mult(xref, b);
@@ -131,11 +204,16 @@ TEST(DeviceBand, BlockSolverMatchesCpuBlockSolver) {
 
 TEST(DeviceBand, CountersRecordFactorWork) {
   exec::ThreadPool pool(1);
-  BandMatrix a = random_band(50, 4, 3);
+  BandMatrix a = random_band(50, 4, 4, 3);
+  BandMatrix host = a;
   BandMatrix* ptr = &a;
   exec::KernelCounters counters;
   device_band_factor(pool, {&ptr, 1}, &counters);
-  EXPECT_GT(counters.flops.load(), 0);
+  // 46 pivots with 4 rows and 4 columns beyond them, 46 * 4 * (1 + 2 * 4),
+  // then 3 * 7 + 2 * 5 + 1 * 3 on the last four: 1690, as the host factor
+  // reports.
+  EXPECT_EQ(counters.flops.load(), 1690);
+  EXPECT_EQ(host.factor_lu(), 1690);
 }
 
 TEST(DeviceBand, NanMatrixFactorThrowsAndRefactorRecovers) {

@@ -4,11 +4,13 @@
 #include <limits>
 #include <numeric>
 #include <random>
+#include <string>
 
 #include "la/band.h"
 #include "la/csr.h"
 #include "la/dense.h"
 #include "la/rcm.h"
+#include "util/simd.h"
 
 using namespace landau::la;
 
@@ -70,6 +72,49 @@ CsrMatrix grid27(std::size_t k, const std::vector<std::size_t>& isolated = {}) {
         }
   p.compress();
   return CsrMatrix(p);
+}
+
+/// A = L U with unit lower L and upper U of band width bw, their entries
+/// seeded in {-1, 0, 1} and U(k,k) = 1 except U(p,p) = 0. Every step of the
+/// elimination is exact in doubles, so the pivot at row p comes out exactly
+/// zero, once the earlier panels' updates have reached it.
+BandMatrix singular_at(std::size_t n, std::size_t bw, std::size_t p, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::vector<double> l(n * n, 0.0), u(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    l[i * n + i] = 1.0;
+    u[i * n + i] = i == p ? 0.0 : 1.0;
+    for (std::size_t k = (i > bw ? i - bw : 0); k < i; ++k) {
+      l[i * n + k] = static_cast<double>(static_cast<int>(rng() % 3) - 1);
+      u[k * n + i] = static_cast<double>(static_cast<int>(rng() % 3) - 1);
+    }
+  }
+  BandMatrix a(n, bw, bw);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = (i > bw ? i - bw : 0); j <= std::min(n - 1, i + bw); ++j)
+      for (std::size_t k = 0; k <= std::min(i, j); ++k) a.at(i, j) += l[i * n + k] * u[k * n + j];
+  return a;
+}
+
+/// factor_lu, and the factor at each lane width, throws landau::Error naming
+/// the bad pivot's row.
+void expect_pivot_error_at(const BandMatrix& a, std::size_t row) {
+  const std::string where = "at row " + std::to_string(row) + " ";
+  std::vector<int> widths = {0, 2};
+  if (landau::simd_variant() == landau::SimdVariant::Avx2) widths.push_back(4);
+  for (int w : widths) {
+    BandMatrix b = a;
+    try {
+      if (w == 0)
+        b.factor_lu();
+      else
+        detail::factor_lu_at_width(b, w);
+      ADD_FAILURE() << "no throw at W = " << w;
+    } catch (const landau::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+          << "W = " << w << ": " << e.what();
+    }
+  }
 }
 
 std::vector<std::int32_t> identity_order(std::size_t n) {
@@ -178,13 +223,20 @@ TEST_P(BandLUSweep, MatchesDenseLUOnRandomSystems) {
 INSTANTIATE_TEST_SUITE_P(SizesAndBandwidths, BandLUSweep,
                          ::testing::Combine(::testing::Values(5, 20, 64, 150),
                                             ::testing::Values(1, 3, 7)));
+// Bands of a panel (8 columns) and wider, which reach the register tiles.
+INSTANTIATE_TEST_SUITE_P(TileBandwidths, BandLUSweep,
+                         ::testing::Combine(::testing::Values(20, 64, 150),
+                                            ::testing::Values(12, 40)));
 
 TEST(Band, FactorReportsFlopCount) {
   auto a = random_banded(20, 2, 11);
   std::vector<std::int32_t> identity(20);
   for (int i = 0; i < 20; ++i) identity[static_cast<std::size_t>(i)] = i;
   auto band = BandMatrix::from_csr(a, identity, 0, 20);
-  EXPECT_GT(band.factor_lu(), 0);
+  // The outer-product count, sum over k of (imax - k)(1 + 2 (jmax - k)): 18
+  // pivots with 2 rows and 2 columns beyond them, 18 * 2 * (1 + 2 * 2), then
+  // 1 * (1 + 2 * 1) at k = 18.
+  EXPECT_EQ(band.factor_lu(), 183);
 }
 
 TEST(Band, ZeroPivotThrows) {
@@ -193,6 +245,10 @@ TEST(Band, ZeroPivotThrows) {
   b.at(1, 1) = 0.0; // becomes the pivot after the first elimination step
   b.at(2, 2) = 1.0;
   EXPECT_THROW(b.factor_lu(), landau::Error);
+  // The zero pivot at row 27 of a 40 x 40 band of width 12 forms only once
+  // the earlier panels' updates reach it, the register tiles of the panel
+  // [16, 24) among them.
+  expect_pivot_error_at(singular_at(40, 12, 27, 5), 27);
 }
 
 TEST(Band, NanPivotThrowsInsteadOfPropagating) {
@@ -204,6 +260,11 @@ TEST(Band, NanPivotThrowsInsteadOfPropagating) {
   b.at(1, 1) = std::numeric_limits<double>::quiet_NaN();
   b.at(2, 2) = 1.0;
   EXPECT_THROW(b.factor_lu(), landau::Error);
+  // A NaN at (20, 27) of a 40 x 40 band of width 12 reaches no pivot before
+  // row 27; the register tiles of the panel [16, 24) carry it onto that one.
+  BandMatrix wide = BandMatrix::from_csr(random_banded(40, 12, 9), identity_order(40), 0, 40);
+  wide.at(20, 27) = std::numeric_limits<double>::quiet_NaN();
+  expect_pivot_error_at(wide, 27);
 }
 
 TEST(Band, FromCsrRejectsCrossBlockCoupling) {
