@@ -1,5 +1,7 @@
 #include "core/jacobian.h"
 
+#include <array>
+
 #include "exec/annotations.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -17,66 +19,44 @@ const char* backend_name(Backend b) {
   return "?";
 }
 
-void JacobianContext::init(const fem::FESpace& f, const SpeciesSet& s, const IPData& d) {
-  fes = &f;
-  species = &s;
-  ip = &d;
-  LANDAU_ASSERT(d.n_species == s.size(), "IP data species count mismatch");
-  const int ns = s.size();
-  q2_over_m.resize(static_cast<std::size_t>(ns));
-  q2_over_m2.resize(static_cast<std::size_t>(ns));
-  for (int b = 0; b < ns; ++b) {
-    q2_over_m[static_cast<std::size_t>(b)] = s[b].q2_over_m();
-    q2_over_m2[static_cast<std::size_t>(b)] = s[b].q2_over_m2();
-  }
-}
-
 namespace detail {
 
 LANDAU_DEVICE void assemble_element(const JacobianContext& ctx, std::size_t cell,
-                                    const ElementMatrices& ce, la::CsrMatrix& j,
+                                    const ElementMatrices& x, std::span<const double> coeff,
+                                    la::CsrMatrix& j,
                                     const exec::check::checked_span<double>* chk) {
   using exec::check::Kind;
   const bool checked = chk && chk->active();
   const auto& dm = ctx.fes->dofmap();
   const auto nodes = dm.cell_nodes(cell);
-  const int nb = ce.nb;
-  if (ctx.coo_values) {
-    // COO sink: stream every (closure-expanded) element value into this
-    // cell's fixed slot range — disjoint per cell, so no atomics are needed.
-    const std::size_t base = (*ctx.coo_cell_offsets)[cell];
-    double* out = ctx.coo_values->data() + base;
-    std::size_t k = 0;
-    LANDAU_ASSERT(!ctx.grid_species, "COO assembly supports single-grid operators only");
-    for (int s = 0; s < ce.n_species; ++s)
-      for (int a = 0; a < nb; ++a) {
-        const auto ca = dm.closure(nodes[static_cast<std::size_t>(a)]);
-        for (int b = 0; b < nb; ++b) {
-          const auto cb = dm.closure(nodes[static_cast<std::size_t>(b)]);
-          const double v = ce.at(s, a, b);
-          for (const auto& [di, wi] : ca) {
-            (void)di;
-            for (const auto& [dj, wj] : cb) {
-              (void)dj;
-              if (checked) chk->note(base + k, Kind::Write);
-              out[k++] = wi * wj * v;
-            }
-          }
-        }
-      }
-    return;
-  }
-  for (int k = 0; k < ce.n_species; ++k) {
+  const int nb = x.nb;
+  const int nt = x.n_terms;
+  LANDAU_ASSERT(coeff.size() == static_cast<std::size_t>(ctx.n_grid_species()) * nt,
+                "coefficient table is not grid species x element terms");
+  // COO sink: every (closure-expanded) value goes to the cell's next fixed
+  // slot — disjoint per cell, so no atomics are needed.
+  double* coo = ctx.coo_values ? ctx.coo_values->data() : nullptr;
+  std::size_t slot = coo ? (*ctx.coo_cell_offsets)[cell] : 0;
+  LANDAU_ASSERT(!coo || !ctx.grid_species, "COO assembly supports single-grid operators only");
+  for (int k = 0; k < ctx.n_grid_species(); ++k) {
+    const double* c = coeff.data() + static_cast<std::size_t>(k) * nt;
     const std::size_t off = ctx.block_offset(ctx.grid_species_at(k));
     for (int a = 0; a < nb; ++a) {
       const auto ca = dm.closure(nodes[static_cast<std::size_t>(a)]);
       for (int b = 0; b < nb; ++b) {
-        const double v = ce.at(k, a, b);
-        if (fp::exact_eq(v, 0.0)) continue; // sparsity skip: bitwise compare intended
+        double v = c[0] * x.at(0, a, b);
+        for (int t = 1; t < nt; ++t) v += c[t] * x.at(t, a, b);
+        // CSR sparsity skip (bitwise compare intended); COO fills every slot.
+        if (!coo && fp::exact_eq(v, 0.0)) continue;
         const auto cb = dm.closure(nodes[static_cast<std::size_t>(b)]);
         for (const auto& [di, wi] : ca)
           for (const auto& [dj, wj] : cb) {
             const double contrib = wi * wj * v;
+            if (coo) {
+              if (checked) chk->note(slot, Kind::Write);
+              coo[slot++] = contrib;
+              continue;
+            }
             const std::size_t gi = off + static_cast<std::size_t>(di);
             const std::size_t gj = off + static_cast<std::size_t>(dj);
             if (ctx.atomic_assembly)
@@ -104,6 +84,7 @@ void assemble_landau_jacobian(Backend backend, exec::ThreadPool& pool,
                               const JacobianContext& ctx, la::CsrMatrix& j,
                               exec::KernelCounters* counters) {
   LANDAU_ASSERT(ctx.fes && ctx.species && ctx.ip, "JacobianContext not initialized");
+  LANDAU_ASSERT(ctx.ip->n_species == ctx.species->size(), "IP data species count mismatch");
   if (!ctx.species_offsets)
     LANDAU_ASSERT(j.rows() == ctx.n_free() * static_cast<std::size_t>(ctx.species->size()),
                   "Jacobian size mismatch");
@@ -180,6 +161,7 @@ void assemble_mass_kernel(exec::ThreadPool& pool, const JacobianContext& ctx, do
   const int nq = tab.n_quad();
   const int nb = tab.n_basis();
   const int ns = ctx.n_grid_species();
+  const auto coeff = ctx.coefficients([shift](const Species&) { return std::array{shift}; });
 
   // Device-checker scope: one "block" per cell (the kernel is block-uniform —
   // no intra-block thread structure), with the packed weights as input and
@@ -197,27 +179,22 @@ void assemble_mass_kernel(exec::ThreadPool& pool, const JacobianContext& ctx, do
     tc.block = static_cast<int>(cell);
     check::checked_span<const double> wv(wref, &tc);
     check::checked_span<double> ov(oref, &tc);
-    detail::ElementMatrices ce;
-    ce.resize(1, nb);
+    detail::ElementMatrices me;
+    me.resize(1, nb);
     const std::size_t ip0 = ctx.ip_offset + cell * static_cast<std::size_t>(nq);
     // DRAM: per-block stream of the weight slice; writes counted in assembly.
     scope.dram(nq * 8);
     for (int q = 0; q < nq; ++q) {
       // Packed weight is qw * detJ * r; the axisymmetric measure adds 2 pi.
-      const double wq =
-          2.0 * 3.14159265358979323846 * wv[ip0 + static_cast<std::size_t>(q)] * shift;
+      const double wq = 2.0 * 3.14159265358979323846 * wv[ip0 + static_cast<std::size_t>(q)];
       for (int a = 0; a < nb; ++a)
-        for (int b = 0; b < nb; ++b) ce.at(0, a, b) += wq * tab.B(q, a) * tab.B(q, b);
+        for (int b = 0; b < nb; ++b) me.at(0, a, b) += wq * tab.B(q, a) * tab.B(q, b);
       scope.flops(3 * nb * nb);
     }
-    // The mass matrix is identical for every species block.
-    detail::ElementMatrices all;
-    all.resize(ns, nb);
-    for (int s = 0; s < ns; ++s)
-      for (int a = 0; a < nb; ++a)
-        for (int b = 0; b < nb; ++b) all.at(s, a, b) = ce.at(0, a, b);
+    // Every species block is shift * M_e.
+    scope.flops(static_cast<std::int64_t>(ns) * nb * nb);
     scope.dram(static_cast<std::int64_t>(ns) * nb * nb * 8 * 2); // write + RMW traffic
-    detail::assemble_element(ctx, cell, all, j, ov.active() ? &ov : nullptr);
+    detail::assemble_element(ctx, cell, me, coeff, j, ov.active() ? &ov : nullptr);
   });
   chk.finish();
   if (counters) {

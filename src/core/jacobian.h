@@ -19,6 +19,7 @@
 // nonlinear residual of the collision term.
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/ip_data.h"
@@ -36,14 +37,13 @@ enum class Backend { Cpu, CudaSim, KokkosSim };
 
 const char* backend_name(Backend b);
 
-/// Everything the kernels need, plus the per-species coefficient tables
-/// (factored out of the inner loop as in §III-A).
+/// Everything the kernels need. Species coefficients enter only where
+/// assemble_element applies them to a cell's matrices (I_S (x) A).
 struct JacobianContext {
   const fem::FESpace* fes = nullptr;
   const SpeciesSet* species = nullptr;
   const IPData* ip = nullptr;
   bool atomic_assembly = true; // GPU back-ends use atomicAdd (§III-F)
-  double nu0 = 1.0;            // global collision prefactor (nu_ee = 1 normalized)
 
   // Optional COO sink (§III-F's second assembly interface): when set,
   // assemble_element streams element values into this buffer — one fixed
@@ -56,16 +56,17 @@ struct JacobianContext {
   // LandauOperator. Its cells' integration points start at ip_offset in
   // the concatenated IP arrays; only grid_species have dofs on this grid
   // (others contribute to the inner integral via the IP data, but the
-  // kernels form and assemble element matrices only for grid_species);
-  // species dof blocks start at species_offsets[s].
+  // kernels assemble blocks only for grid_species); species dof blocks
+  // start at species_offsets[s].
   std::size_t ip_offset = 0;
   const std::vector<int>* grid_species = nullptr;            // nullptr: all species
   const std::vector<std::size_t>* species_offsets = nullptr; // nullptr: s * n_free()
 
-  // Coefficient tables: q^2 m0/m, q^2 (m0/m)^2 per species.
-  std::vector<double> q2_over_m, q2_over_m2;
-
-  void init(const fem::FESpace& f, const SpeciesSet& s, const IPData& d);
+  void init(const fem::FESpace& f, const SpeciesSet& s, const IPData& d) {
+    fes = &f;
+    species = &s;
+    ip = &d;
+  }
 
   std::size_t n_free() const { return fes->n_dofs(); }
   std::size_t block_offset(int s) const {
@@ -79,6 +80,14 @@ struct JacobianContext {
   }
   int grid_species_at(int k) const {
     return grid_species ? (*grid_species)[static_cast<std::size_t>(k)] : k;
+  }
+  /// The coefficient table assemble_element takes: row k is rule(species),
+  /// for the k-th grid species, with one coefficient per element term.
+  template <class Rule> std::vector<double> coefficients(Rule rule) const {
+    std::vector<double> c;
+    for (int k = 0; k < n_grid_species(); ++k)
+      for (double v : rule((*species)[grid_species_at(k)])) c.push_back(v);
+    return c;
   }
 };
 
@@ -115,29 +124,33 @@ private:
 
 namespace detail {
 
-/// Element matrices of one cell for the context's grid species, in node
-/// space: species index k stands for ctx.grid_species_at(k). The per-backend
-/// kernels fill this; assembly into the global matrix is shared.
+/// Element matrices of one cell, in node space: n_terms matrices X_t of
+/// nb x nb (K_e and D_e, M_e, A_e; the CPU reference's per-species C_a).
+/// The per-backend kernels fill them; assembly into the global matrix is
+/// shared.
 struct ElementMatrices {
-  int nb = 0, n_species = 0;
-  std::vector<double> c; // [grid species][a][b]
-  double& at(int s, int a, int b) { return c[(static_cast<std::size_t>(s) * nb + a) * nb + b]; }
-  double at(int s, int a, int b) const {
-    return c[(static_cast<std::size_t>(s) * nb + a) * nb + b];
+  int nb = 0, n_terms = 0;
+  std::vector<double> x; // [term][a][b]
+  double& at(int t, int a, int b) { return x[(static_cast<std::size_t>(t) * nb + a) * nb + b]; }
+  double at(int t, int a, int b) const {
+    return x[(static_cast<std::size_t>(t) * nb + a) * nb + b];
   }
-  void resize(int ns, int nbasis) {
-    n_species = ns;
+  void resize(int terms, int nbasis) {
+    n_terms = terms;
     nb = nbasis;
-    c.assign(static_cast<std::size_t>(ns) * nb * nb, 0.0);
+    x.assign(static_cast<std::size_t>(terms) * nb * nb, 0.0);
   }
 };
 
-/// Scatter one cell's element matrices into the global block matrix. When the
-/// device checker is active, `chk` is the caller's checked view of the output
-/// value array (CSR values or the COO sink) bound to the executing block, and
-/// every scattered entry is recorded as a plain or atomic device write.
+/// Scatter one cell into the global block matrix: the block of the k-th grid
+/// species receives sum_t coeff[k * n_terms + t] X_t. This is the one place
+/// species coefficients meet element matrices. When the device checker is
+/// active, `chk` is the caller's checked view of the output value array (CSR
+/// values or the COO sink) bound to the executing block, and every scattered
+/// entry is recorded as a plain or atomic device write.
 LANDAU_DEVICE void assemble_element(const JacobianContext& ctx, std::size_t cell,
-                                    const ElementMatrices& ce, la::CsrMatrix& j,
+                                    const ElementMatrices& x, std::span<const double> coeff,
+                                    la::CsrMatrix& j,
                                     const exec::check::checked_span<double>* chk = nullptr);
 
 } // namespace detail

@@ -43,8 +43,13 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
   check::checked_span<const double> gsdfr(ref_sdfr, &tc), gsdfz(ref_sdfz, &tc), gsf(ref_sf, &tc);
   check::checked_span<double> gout(ref_out, &tc);
 
+  // The per-species reference: species coefficients scale the point values
+  // before each species' own contraction, and the scatter takes the species
+  // matrices as ns terms with identity coefficients.
   ElementMatrices ce;
   std::vector<PointCoeffs> coeffs(static_cast<std::size_t>(ns) * nq);
+  std::vector<double> identity(static_cast<std::size_t>(ns) * ns, 0.0);
+  for (int a = 0; a < ns; ++a) identity[static_cast<std::size_t>(a) * ns + a] = 1.0;
 
   for (std::size_t cell = 0; cell < fes.n_cells(); ++cell) {
     exec::CounterScope scope(counters);
@@ -59,12 +64,13 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
         inner_point(gr[gi], gz[gi], gr[jj], gz[jj], gw[jj], gsdfr[jj], gsdfz[jj], gsf[jj], &g);
       scope.flops(static_cast<std::int64_t>(n) * inner_flops());
       scope.dram(static_cast<std::int64_t>(n) * kInnerPointDoubles * 8);
+      const PointCoeffs p = transform_point(g, geom.jinv[0], geom.jinv[1], gw[gi]);
       for (int a = 0; a < ns; ++a) {
-        const auto sa = static_cast<std::size_t>(ctx.grid_species_at(a));
-        coeffs[static_cast<std::size_t>(a * nq + i)] =
-            transform_point(g, ctx.nu0, ctx.q2_over_m[sa], ctx.q2_over_m2[sa], geom.jinv[0],
-                            geom.jinv[1], gw[gi]);
+        const auto [ck, cd] = landau_coeffs((*ctx.species)[ctx.grid_species_at(a)]);
+        coeffs[static_cast<std::size_t>(a * nq + i)] = {ck * p.kk_r, ck * p.kk_z, cd * p.dd00,
+                                                        cd * p.dd01, cd * p.dd11};
       }
+      scope.flops(static_cast<std::int64_t>(ns) * 5);
     }
 
     // Transform & Assemble (Algorithm 1 line 23): contract with the element
@@ -84,9 +90,10 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
         }
       }
     }
-    scope.flops(static_cast<std::int64_t>(ns) * nq * nb * (8 + 5 * nb));
+    scope.flops(static_cast<std::int64_t>(ns) * nq * nb * (8 + 5 * nb) +
+                static_cast<std::int64_t>(ns) * nb * nb * (2 * ns - 1));
     scope.dram(static_cast<std::int64_t>(ns) * nb * nb * 8 * 2);
-    assemble_element(ctx, cell, ce, j, gout.active() ? &gout : nullptr);
+    assemble_element(ctx, cell, ce, identity, j, gout.active() ? &gout : nullptr);
   }
   chk.finish();
 }

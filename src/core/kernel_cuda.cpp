@@ -10,9 +10,10 @@
 //    (the double2/double4 vector-load idiom) through the SIMD helper of
 //    core/inner_tile.h, so a tile is 8 x blockDim.x points (128 for Q2/Q3);
 //    partial integrals live in per-thread registers, fold over their eight
-//    slots and combine with a warp-shuffle butterfly; the element matrix is
-//    formed by all threads for the grid's species and assembled into the
-//    global CSR matrix with atomic adds.
+//    slots and combine with a warp-shuffle butterfly; the species-free
+//    element matrices K_e and D_e are formed by all threads, and each grid
+//    species' block ck K_e + cd D_e is assembled into the global CSR matrix
+//    with atomic adds.
 
 #include "core/inner_tile.h"
 #include "core/jacobian.h"
@@ -41,6 +42,7 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
   const int nq = tab.n_quad();
   const int nb = tab.n_basis();
   const int ns = ctx.n_grid_species();
+  const auto coeff = ctx.coefficients(landau_coeffs);
   const std::size_t n = ip.n;
   const std::size_t n_padded = ip.n_padded();
   const exec::Dim3 block{reduction_lanes(nq), nq, 1};
@@ -69,7 +71,6 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
         exec::CounterScope scope(blk.counters());
         const auto cell = static_cast<std::size_t>(blk.block_idx());
         const auto geom = fes.geometry(cell);
-        const int lanes = blk.block_dim().x;
 
         // Global memory through this block's access identity.
         auto gr = blk.view(ref_r);
@@ -85,15 +86,15 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
         auto regs = blk.registers<InnerSlots>("regs");
         auto red = blk.registers<InnerAccum>("red");
 
-        // Shared memory: staging tiles and the per-(species, point) results.
+        // Shared memory: staging tiles, the per-point results and K_e, D_e.
         auto tile_r = blk.shared<double>(tile, "tile_r");
         auto tile_z = blk.shared<double>(tile, "tile_z");
         auto tile_w = blk.shared<double>(tile, "tile_w");
         auto tile_sdfr = blk.shared<double>(tile, "tile_sdfr");
         auto tile_sdfz = blk.shared<double>(tile, "tile_sdfz");
         auto tile_sf = blk.shared<double>(tile, "tile_sf");
-        auto kkdd = blk.shared<PointCoeffs>(static_cast<std::size_t>(ns) * nq, "kkdd");
-        auto ce = blk.shared<double>(static_cast<std::size_t>(ns) * nb * nb, "ce");
+        auto kkdd = blk.shared<PointCoeffs>(static_cast<std::size_t>(nq), "kkdd");
+        auto ce = blk.shared<double>(2 * static_cast<std::size_t>(nb) * nb, "ce");
 
         // Inner integral over all global points, tile by tile (lines 3-11).
         // The padded arrays end on a whole chunk, so every tile does too.
@@ -139,53 +140,40 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
         });
         blk.shfl_xor_sum_x(red);
 
-        // Per-species scaling and mapping to the global basis (lines 13-21),
-        // for the species on this grid.
+        // Mapping to the global basis (lines 13-20), one x-lane per point.
         blk.threads([&](exec::ThreadIdx t) {
+          if (t.x != 0) return;
           const std::size_t gi =
               ctx.ip_offset + cell * static_cast<std::size_t>(nq) + static_cast<std::size_t>(t.y);
           // Row-reduced value: each thread reads its own register slot.
           const InnerAccum& g = *red.read_ptr(static_cast<std::size_t>(t.flat));
-          for (int a = t.x; a < ns; a += lanes) {
-            const auto sa = static_cast<std::size_t>(ctx.grid_species_at(a));
-            kkdd[static_cast<std::size_t>(a * nq + t.y)] =
-                transform_point(g, ctx.nu0, ctx.q2_over_m[sa], ctx.q2_over_m2[sa], geom.jinv[0],
-                                geom.jinv[1], gw[gi]);
-          }
+          kkdd[static_cast<std::size_t>(t.y)] =
+              transform_point(g, geom.jinv[0], geom.jinv[1], gw[gi]);
         });
         blk.sync();
 
         // Transform & Assemble with all threads (line 23): distribute the
-        // (species, test, trial) triples across the whole block.
-        const int total = ns * nb * nb;
+        // (test, trial) entries of K_e and D_e across the whole block.
+        const int total = nb * nb;
         blk.threads([&](exec::ThreadIdx t) {
           for (int item = t.flat; item < total; item += blk.num_threads()) {
-            const int a_sp = item / (nb * nb);
-            const int a = (item / nb) % nb;
-            const int b = item % nb;
-            double acc = 0.0;
-            for (int i = 0; i < nq; ++i) {
-              const PointCoeffs& p = *kkdd.read_ptr(static_cast<std::size_t>(a_sp * nq + i));
-              const double ear = tab.E(i, a, 0);
-              const double eaz = tab.E(i, a, 1);
-              acc += (ear * p.dd00 + eaz * p.dd01) * tab.E(i, b, 0) +
-                     (ear * p.dd01 + eaz * p.dd11) * tab.E(i, b, 1) +
-                     (ear * p.kk_r + eaz * p.kk_z) * tab.B(i, b);
-            }
-            ce[static_cast<std::size_t>(item)] = acc;
+            double k = 0.0, d = 0.0;
+            for (int i = 0; i < nq; ++i)
+              contract_point(*kkdd.read_ptr(static_cast<std::size_t>(i)), tab, i, item / nb,
+                             item % nb, &k, &d);
+            ce[static_cast<std::size_t>(item)] = k;
+            ce[static_cast<std::size_t>(total + item)] = d;
           }
         });
         blk.sync();
-        scope.flops(static_cast<std::int64_t>(total) * nq * 13);
-        scope.dram(static_cast<std::int64_t>(total) * 8 * 2);
+        scope.flops(static_cast<std::int64_t>(total) * nq * kElementContractFlops +
+                    static_cast<std::int64_t>(ns) * total * kElementScaleFlops);
+        scope.dram(static_cast<std::int64_t>(ns) * total * 8 * 2);
 
-        // Global assembly with atomics (§III-F).
-        ElementMatrices em;
-        em.n_species = ns;
-        em.nb = nb;
+        // Each grid species' block ck K_e + cd D_e, with atomics (§III-F).
         const double* cep = ce.read_all();
-        em.c.assign(cep, cep + ce.size());
-        assemble_element(ctx, cell, em, j, gout.active() ? &gout : nullptr);
+        const ElementMatrices em{nb, 2, {cep, cep + ce.size()}};
+        assemble_element(ctx, cell, em, coeff, j, gout.active() ? &gout : nullptr);
       },
       counters, &chk, "landau:jacobian-cuda");
   chk.finish();

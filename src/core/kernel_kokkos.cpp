@@ -23,6 +23,7 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
   const int nq = tab.n_quad();
   const int nb = tab.n_basis();
   const int ns = ctx.n_grid_species();
+  const auto coeff = ctx.coefficients(landau_coeffs);
   const std::size_t n = ip.n;
   const auto n_chunks = static_cast<int>(ip.n_padded() / kIpChunk);
 
@@ -58,8 +59,8 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
 
     // Team scratch: variable-length shared arrays (no compile-time sizing,
     // unlike the CUDA version).
-    auto kkdd = member.team_scratch<PointCoeffs>(static_cast<std::size_t>(ns) * nq, "kkdd");
-    auto ce = member.team_scratch<double>(static_cast<std::size_t>(ns) * nb * nb, "ce");
+    auto kkdd = member.team_scratch<PointCoeffs>(static_cast<std::size_t>(nq), "kkdd");
+    auto ce = member.team_scratch<double>(2 * static_cast<std::size_t>(nb) * nb, "ce");
 
     // Integration points distributed over the team's threads.
     member.team_range(nq, [&](int i) {
@@ -75,13 +76,8 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
             inner_tile(gr[gi], gz[gi], src, &acc);
           },
           slots);
-      const InnerAccum g = slots.fold();
-      for (int a = 0; a < ns; ++a) {
-        const auto sa = static_cast<std::size_t>(ctx.grid_species_at(a));
-        kkdd[static_cast<std::size_t>(a * nq + i)] =
-            transform_point(g, ctx.nu0, ctx.q2_over_m[sa], ctx.q2_over_m2[sa], geom.jinv[0],
-                            geom.jinv[1], gw[gi]);
-      }
+      kkdd[static_cast<std::size_t>(i)] =
+          transform_point(slots.fold(), geom.jinv[0], geom.jinv[1], gw[gi]);
     });
     member.team_barrier();
     // Flops of the real pairs only; the padded stream is what moves.
@@ -90,33 +86,25 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
     scope.dram(streamed * kInnerPointDoubles * 8); // per-member stream
     scope.shared(streamed * nq * kInnerPointDoubles * 8);
 
-    // Transform & Assemble across the team.
-    member.team_range(ns * nb, [&](int item) {
-      const int a_sp = item / nb;
-      const int a = item % nb;
+    // Transform & Assemble across the team: the entries of K_e and D_e.
+    const int total = nb * nb;
+    member.team_range(nb, [&](int a) {
       member.vector_range(nb, [&](int b) {
-        double acc = 0.0;
-        for (int i = 0; i < nq; ++i) {
-          const PointCoeffs& p = *kkdd.read_ptr(static_cast<std::size_t>(a_sp * nq + i));
-          const double ear = tab.E(i, a, 0);
-          const double eaz = tab.E(i, a, 1);
-          acc += (ear * p.dd00 + eaz * p.dd01) * tab.E(i, b, 0) +
-                 (ear * p.dd01 + eaz * p.dd11) * tab.E(i, b, 1) +
-                 (ear * p.kk_r + eaz * p.kk_z) * tab.B(i, b);
-        }
-        ce[static_cast<std::size_t>((a_sp * nb + a) * nb + b)] = acc;
+        double k = 0.0, d = 0.0;
+        for (int i = 0; i < nq; ++i)
+          contract_point(*kkdd.read_ptr(static_cast<std::size_t>(i)), tab, i, a, b, &k, &d);
+        ce[static_cast<std::size_t>(a * nb + b)] = k;
+        ce[static_cast<std::size_t>(total + a * nb + b)] = d;
       });
     });
     member.team_barrier();
-    scope.flops(static_cast<std::int64_t>(ns) * nb * nb * nq * 13);
-    scope.dram(static_cast<std::int64_t>(ns) * nb * nb * 8 * 2);
+    scope.flops(static_cast<std::int64_t>(total) * nq * kElementContractFlops +
+                static_cast<std::int64_t>(ns) * total * kElementScaleFlops);
+    scope.dram(static_cast<std::int64_t>(ns) * total * 8 * 2);
 
-    ElementMatrices em;
-    em.n_species = ns;
-    em.nb = nb;
     const double* cep = ce.read_all();
-    em.c.assign(cep, cep + ce.size());
-    assemble_element(ctx, cell, em, j, gout.active() ? &gout : nullptr);
+    const ElementMatrices em{nb, 2, {cep, cep + ce.size()}};
+    assemble_element(ctx, cell, em, coeff, j, gout.active() ? &gout : nullptr);
       },
       &chk, "landau:jacobian-kokkos");
   chk.finish();

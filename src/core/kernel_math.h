@@ -4,6 +4,8 @@
 // guarantees the back-ends differ only in loop organization and memory
 // staging — the paper's point about the CUDA and Kokkos versions.
 
+#include <array>
+
 #include "core/jacobian.h"
 #include "core/landau_tensor.h"
 #include "exec/annotations.h"
@@ -61,30 +63,49 @@ LANDAU_DEVICE inline void inner_point(double ri, double zi, double rj, double zj
   inner_pair(ri, zi, rj, zj, wj, sum_dfr_j, sum_dfz_j, sum_f_j, acc);
 }
 
-/// Per-point per-species transform (Algorithm 1 lines 13-20): scale the
-/// reduced integrals by the species coefficients, map to the global basis
-/// with the (diagonal) inverse element Jacobian, and weight by w[gi].
+/// Per-point transform (Algorithm 1 lines 13-20): map the reduced integrals
+/// to the global basis with the (diagonal) inverse element Jacobian, and
+/// weight by w[gi]. The species coefficients wait for the scatter.
 struct PointCoeffs {
-  double kk_r, kk_z;          // KK[alpha][i]
-  double dd00, dd01, dd11;    // DD[alpha][i] (symmetric)
+  double kk_r, kk_z;          // KK[i]
+  double dd00, dd01, dd11;    // DD[i] (symmetric)
 };
 
-LANDAU_DEVICE inline PointCoeffs transform_point(const InnerAccum& g, double nu0,
-                                                 double q2a_over_ma, double q2a_over_ma2,
-                                                 double jinv0, double jinv1, double wi) {
+LANDAU_DEVICE inline PointCoeffs transform_point(const InnerAccum& g, double jinv0, double jinv1,
+                                                 double wi) {
   // wi is the packed weight qw * detJ * r; the outer measure carries the
   // explicit 2 pi of the axisymmetric weak form (the inner 2 pi is already
   // folded into the elliptic-integral tensors).
   PointCoeffs p;
   const double w2pi = 2.0 * 3.14159265358979323846 * wi;
-  const double ck = nu0 * q2a_over_ma;
-  const double cd = -nu0 * q2a_over_ma2;
-  p.kk_r = jinv0 * ck * g.gk_r * w2pi;
-  p.kk_z = jinv1 * ck * g.gk_z * w2pi;
-  p.dd00 = jinv0 * jinv0 * cd * g.gd00 * w2pi;
-  p.dd01 = jinv0 * jinv1 * cd * g.gd01 * w2pi;
-  p.dd11 = jinv1 * jinv1 * cd * g.gd11 * w2pi;
+  p.kk_r = jinv0 * g.gk_r * w2pi;
+  p.kk_z = jinv1 * g.gk_z * w2pi;
+  p.dd00 = jinv0 * jinv0 * g.gd00 * w2pi;
+  p.dd01 = jinv0 * jinv1 * g.gd01 * w2pi;
+  p.dd11 = jinv1 * jinv1 * g.gd11 * w2pi;
   return p;
+}
+
+/// Species a's element matrix is ck K_e + cd D_e: as the field species of
+/// eqs. 7-8, ck = q^2/m scales the K term and cd = -q^2/m^2 the D term.
+inline std::array<double, 2> landau_coeffs(const Species& s) {
+  return {s.q2_over_m(), -s.q2_over_m2()};
+}
+
+/// Flops of contract_point per point and entry: K 5 (row sum, times B,
+/// accumulate) and D 10 (two row sums, two products, their sum, accumulate);
+/// and of the scatter per entry and species: ck K + cd D.
+inline constexpr int kElementContractFlops = 15, kElementScaleFlops = 3;
+
+/// Point i's contribution to entry (a, b) of the species-free K_e and D_e
+/// (Algorithm 1 line 23): the contraction with the element tabulation.
+LANDAU_DEVICE inline void contract_point(const PointCoeffs& p, const fem::Tabulation& tab, int i,
+                                         int a, int b, double* k, double* d) {
+  const double ear = tab.E(i, a, 0);
+  const double eaz = tab.E(i, a, 1);
+  *k += (ear * p.kk_r + eaz * p.kk_z) * tab.B(i, b);
+  *d += (ear * p.dd00 + eaz * p.dd01) * tab.E(i, b, 0) +
+        (ear * p.dd01 + eaz * p.dd11) * tab.E(i, b, 1);
 }
 
 } // namespace landau::detail

@@ -1,5 +1,6 @@
 #include "solver/implicit.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -13,7 +14,7 @@ namespace landau {
 ImplicitIntegrator::ImplicitIntegrator(CollisionOperatorBase& op, NewtonOptions nopts,
                                        LinearSolverKind linear, LinearSolverOptions lsopts)
     : op_(op), nopts_(nopts), linear_(linear), lsopts_(lsopts), cmat_(op.new_matrix()),
-      jmat_(op.new_matrix()), band_(&op.worker_pool()) {}
+      jmat_(cmat_), band_(&op.worker_pool()) {}
 
 void ImplicitIntegrator::invalidate_if_structure_changed(const la::CsrMatrix& jmat) {
   // The band solvers' symbolic phase (RCM, block discovery, scatter maps) is
@@ -116,7 +117,7 @@ StepStats ImplicitIntegrator::step(la::Vec& f, double dt, double e_z, const la::
     // The operator was rebuilt under us (AMR refine): new matrices with the
     // new pattern; factor_and_solve notices and re-runs the symbolic phase.
     cmat_ = op_.new_matrix();
-    jmat_ = op_.new_matrix();
+    jmat_ = cmat_;
   }
   const la::Vec fn = f;
   const auto& mass = op_.mass();
@@ -132,14 +133,22 @@ StepStats ImplicitIntegrator::step(la::Vec& f, double dt, double e_z, const la::
 
   la::Vec r(n), tmp(n), delta(n);
 
+  // The field term -e_z A is constant through the step: assembled once, and
+  // every C - A below starts from a copy of it (note sign).
+  if (amat_.rows() != n) amat_ = cmat_;
+  amat_.zero_entries();
+  if (e_z != 0.0) op_.add_advection(amat_, -e_z);
+  auto assemble_c_minus_a = [&] {
+    std::ranges::copy(amat_.values(), cmat_.values().begin());
+    op_.add_collision(cmat_);
+  };
+
   // Explicit part of the theta scheme: (1 - theta) (C(f_n) - A) f_n,
   // evaluated once per step.
   la::Vec rhs_exp(n);
   if (theta < 1.0) {
     op_.pack(fn);
-    cmat_.zero_entries();
-    op_.add_collision(cmat_);
-    if (e_z != 0.0) op_.add_advection(cmat_, -e_z);
+    assemble_c_minus_a();
     cmat_.mult(fn, rhs_exp);
   }
 
@@ -169,9 +178,7 @@ StepStats ImplicitIntegrator::step(la::Vec& f, double dt, double e_z, const la::
   for (int it = 0; it < nopts_.max_iterations; ++it) {
     // Frozen-coefficient collision matrix about the current iterate.
     op_.pack(f);
-    cmat_.zero_entries();
-    op_.add_collision(cmat_);
-    if (e_z != 0.0) op_.add_advection(cmat_, -e_z); // C - A combined (note sign)
+    assemble_c_minus_a();
 
     // Residual G = M (f - f_n) - dt [theta (C - A) f + (1-theta) (C_n - A) f_n] - dt M s.
     tmp = f;

@@ -95,6 +95,7 @@ private:
   LinearSolverKind linear_;
   LinearSolverOptions lsopts_;
   la::CsrMatrix cmat_, jmat_;
+  la::CsrMatrix amat_; // -e_z A of the current step, allocated by the first step
   la::BlockBandSolver band_;
   std::unique_ptr<la::DeviceBlockBandSolver> device_band_;
   std::size_t sym_rows_ = 0, sym_nnz_ = 0; // structure signature of the cache

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/operator.h"
 #include "util/special_math.h"
@@ -28,34 +29,84 @@ double two_bump(double r, double z) {
   return maxwellian_rz(r, z, 0.6, 0.8, 1.0) + maxwellian_rz(r, z, 0.4, 0.5, -1.2);
 }
 
+/// A test plasma and its thermal-speed clustering.
+struct Plasma {
+  const char* name;
+  SpeciesSet species;
+  double cluster_ratio;
+  LandauOperator op(Backend backend = Backend::Cpu) const {
+    return LandauOperator(species, small_opts(backend), cluster_ratio);
+  }
+};
+
+/// Electron + deuterium with the mass ratio reduced so one grid stays small.
+Plasma electron_deuterium() {
+  auto species = SpeciesSet::electron_deuterium();
+  species[1].mass = 25.0;
+  return {"e/D", species, std::numeric_limits<double>::infinity()};
+}
+
+/// The e/D/8 W plasma with the species10 workload's reduced masses, on one grid.
+Plasma tungsten_one_grid() {
+  auto species = SpeciesSet::tungsten_plasma();
+  species[1].mass = 100.0;
+  for (int s = 2; s < species.size(); ++s) species[s].mass = 1600.0;
+  return {"e/D/8 W, one grid", species, std::numeric_limits<double>::infinity()};
+}
+
+/// The e/D/8 W plasma with physical masses, clustered e | D | 8 W on three grids.
+Plasma tungsten_three_grids() {
+  return {"e | D | 8 W, three grids", SpeciesSet::tungsten_plasma(), 2.0};
+}
+
+/// First row of species s's block in the state vector.
+std::size_t block_offset(const LandauOperator& op, int s) {
+  std::size_t off = 0;
+  for (int t = 0; t < s; ++t) off += op.n_dofs(t);
+  return off;
+}
+
+/// Largest |a - b| within each species block, relative to that block's
+/// largest |b|: blocks on grids of different thermal scale differ by orders
+/// of magnitude, so each is compared at its own scale.
+double block_deviation(const LandauOperator& op, const la::CsrMatrix& a, const la::CsrMatrix& b) {
+  EXPECT_EQ(a.nnz(), b.nnz());
+  const auto rowptr = b.row_offsets();
+  double worst = 0.0;
+  for (int s = 0; s < op.n_species(); ++s) {
+    double diff = 0.0, scale = 0.0;
+    const std::size_t r0 = block_offset(op, s);
+    for (std::size_t i = r0; i < r0 + op.n_dofs(s); ++i)
+      for (std::int32_t k = rowptr[i]; k < rowptr[i + 1]; ++k) {
+        diff = std::max(diff, std::abs(a.values()[k] - b.values()[k]));
+        scale = std::max(scale, std::abs(b.values()[k]));
+      }
+    EXPECT_GT(scale, 0.0) << "species " << s;
+    worst = std::max(worst, diff / scale);
+  }
+  return worst;
+}
+
 } // namespace
 
 TEST(Kernels, AllBackendsProduceTheSameJacobian) {
-  auto species = SpeciesSet::electron_deuterium();
-  // Reduce the mass ratio so the shared grid stays small for this test.
-  species[1].mass = 25.0;
-  LandauOperator op(species, small_opts());
-  la::Vec f = op.maxwellian_state();
-  op.pack(f);
-
-  la::CsrMatrix j_cpu = op.new_matrix();
-  la::CsrMatrix j_cuda = op.new_matrix();
-  la::CsrMatrix j_kokkos = op.new_matrix();
-
-  exec::ThreadPool pool(2);
-  JacobianContext ctx;
-  ctx.init(op.space(), op.species(), op.ip_data());
-  assemble_landau_jacobian(Backend::Cpu, pool, ctx, j_cpu);
-  assemble_landau_jacobian(Backend::CudaSim, pool, ctx, j_cuda);
-  assemble_landau_jacobian(Backend::KokkosSim, pool, ctx, j_kokkos);
-
-  double scale = 0.0;
-  for (std::size_t k = 0; k < j_cpu.nnz(); ++k)
-    scale = std::max(scale, std::abs(j_cpu.values()[k]));
-  ASSERT_GT(scale, 0.0);
-  for (std::size_t k = 0; k < j_cpu.nnz(); ++k) {
-    EXPECT_NEAR(j_cuda.values()[k], j_cpu.values()[k], 1e-11 * scale);
-    EXPECT_NEAR(j_kokkos.values()[k], j_cpu.values()[k], 1e-11 * scale);
+  // The fast kernels contract the species-free K_e and D_e and scale them at
+  // the scatter; the CPU reference scales each species' point values and
+  // contracts per species.
+  for (const Plasma& plasma :
+       {electron_deuterium(), tungsten_one_grid(), tungsten_three_grids()}) {
+    SCOPED_TRACE(plasma.name);
+    LandauOperator cpu = plasma.op(Backend::Cpu);
+    cpu.pack(cpu.maxwellian_state());
+    la::CsrMatrix j_cpu = cpu.new_matrix();
+    cpu.add_collision(j_cpu);
+    for (Backend be : {Backend::CudaSim, Backend::KokkosSim}) {
+      LandauOperator op = plasma.op(be);
+      op.pack(op.maxwellian_state());
+      la::CsrMatrix j = op.new_matrix();
+      op.add_collision(j);
+      EXPECT_LT(block_deviation(op, j, j_cpu), 1e-11) << backend_name(be);
+    }
   }
 }
 
@@ -142,19 +193,15 @@ TEST(Kernels, CountersReportComputeBoundJacobian) {
 }
 
 TEST(Kernels, MassKernelMatchesHostMassMatrix) {
-  auto species = SpeciesSet::electron_deuterium();
-  species[1].mass = 25.0;
-  LandauOperator op(species, small_opts(Backend::CudaSim));
-  la::Vec f = op.maxwellian_state();
-  op.pack(f);
-  la::CsrMatrix m_kernel = op.new_matrix();
-  op.add_mass_kernel(m_kernel, 1.0);
-  const auto& m_host = op.mass();
-  double scale = 0.0;
-  for (std::size_t k = 0; k < m_host.nnz(); ++k)
-    scale = std::max(scale, std::abs(m_host.values()[k]));
-  for (std::size_t k = 0; k < m_host.nnz(); ++k)
-    EXPECT_NEAR(m_kernel.values()[k], m_host.values()[k], 1e-12 * scale);
+  // The kernel scatters one M_e per cell into every species block of its grid.
+  for (const Plasma& plasma : {electron_deuterium(), tungsten_three_grids()}) {
+    SCOPED_TRACE(plasma.name);
+    LandauOperator op = plasma.op(Backend::CudaSim);
+    op.pack(op.maxwellian_state());
+    la::CsrMatrix m_kernel = op.new_matrix();
+    op.add_mass_kernel(m_kernel, 1.0);
+    EXPECT_LT(block_deviation(op, m_kernel, op.mass()), 1e-12);
+  }
 }
 
 TEST(Kernels, CooAssemblyMatchesTraditionalPath) {
@@ -214,4 +261,58 @@ TEST(Kernels, AdvectionShiftsMomentumNotDensity) {
   la::Vec z_fn = op.project([](int, double, double z) { return z; });
   EXPECT_GT(std::abs(z_fn.dot(af)), 1e-6);
   EXPECT_LT(std::abs(density_rate), 1e-6 * std::abs(z_fn.dot(af)));
+}
+
+TEST(Kernels, AdvectionNeedsNoPackedState) {
+  // Advection reads no integration-point data, so a fresh operator assembles
+  // the same matrix as one that has packed a state.
+  for (const Plasma& plasma : {electron_deuterium(), tungsten_three_grids()}) {
+    SCOPED_TRACE(plasma.name);
+    LandauOperator op = plasma.op();
+    la::CsrMatrix fresh = op.new_matrix();
+    op.add_advection(fresh, 0.3);
+    op.pack(op.maxwellian_state());
+    la::CsrMatrix packed = op.new_matrix();
+    op.add_advection(packed, 0.3);
+    ASSERT_EQ(fresh.nnz(), packed.nnz());
+    for (std::size_t k = 0; k < fresh.nnz(); ++k)
+      EXPECT_EQ(fresh.values()[k], packed.values()[k]) << k;
+  }
+}
+
+TEST(Kernels, AdvectionBlocksScaleWithChargeOverMass) {
+  // Species on one grid share one species-free A_e: A_s = (q_s/m_s) E_z A_e,
+  // so A_s = (q_s m_r)/(m_s q_r) A_r for every species r on the same grid.
+  for (const Plasma& plasma : {electron_deuterium(), tungsten_three_grids()}) {
+    SCOPED_TRACE(plasma.name);
+    LandauOperator op = plasma.op();
+    la::CsrMatrix a = op.new_matrix();
+    op.add_advection(a, 0.3);
+    const auto rowptr = a.row_offsets();
+    const auto colind = a.col_indices();
+    int pairs = 0;
+    for (int g = 0; g < op.n_grids(); ++g) {
+      const auto& on_grid = op.grid(g).species;
+      const int r = on_grid.front();
+      const std::size_t off_r = block_offset(op, r);
+      for (int s : on_grid) {
+        if (s == r) continue;
+        ++pairs;
+        const Species& sp_s = op.species()[s];
+        const Species& sp_r = op.species()[r];
+        const double ratio = (sp_s.charge * sp_r.mass) / (sp_s.mass * sp_r.charge);
+        const std::size_t off_s = block_offset(op, s);
+        double diff = 0.0, scale = 0.0;
+        for (std::size_t i = 0; i < op.n_dofs(s); ++i)
+          for (std::int32_t k = rowptr[off_s + i]; k < rowptr[off_s + i + 1]; ++k) {
+            const std::size_t j = static_cast<std::size_t>(colind[k]) - off_s;
+            diff = std::max(diff, std::abs(a.values()[k] - ratio * a.get(off_r + i, off_r + j)));
+            scale = std::max(scale, std::abs(a.values()[k]));
+          }
+        ASSERT_GT(scale, 0.0);
+        EXPECT_LE(diff, 1e-14 * scale) << "species " << s << " against " << r;
+      }
+    }
+    EXPECT_EQ(pairs, op.n_species() - op.n_grids()); // e/D: 1, e | D | 8 W: 7
+  }
 }

@@ -210,8 +210,9 @@ TEST(MultiGrid, FewerEquationsThanSharedGrid) {
 
 TEST(MultiGrid, KernelCountsOnlyGridSpeciesElementWork) {
   // Each grid's kernel forms element matrices for its own species only: the
-  // counted flops are the inner pairs over all grids' points plus, per grid,
-  // cells x grid species x nq nb^2 x 13.
+  // counted flops are the inner pairs over all grids' points plus, per grid
+  // and cell, the species-free K_e and D_e contraction (nq nb^2 x 15) and
+  // their scaling into each grid species' block (nb^2 x 3 per species).
   SpeciesSet sp({{.name = "e", .mass = 1.0, .charge = -1.0, .density = 1.0, .temperature = 1.0},
                  {.name = "e2", .mass = 1.5, .charge = -1.0, .density = 0.5, .temperature = 1.0},
                  {.name = "i", .mass = 100.0, .charge = 2.0, .density = 0.75, .temperature = 1.0}});
@@ -231,7 +232,8 @@ TEST(MultiGrid, KernelCountsOnlyGridSpeciesElementWork) {
     const std::int64_t nq = fes.tabulation().n_quad(), nb = fes.tabulation().n_basis();
     const auto n_grid_species = static_cast<std::int64_t>(op.grid(g).species.size());
     expected += cells * nq * n * detail::inner_flops();
-    expected += cells * n_grid_species * nq * nb * nb * 13;
+    expected += cells * (nq * nb * nb * detail::kElementContractFlops +
+                         n_grid_species * nb * nb * detail::kElementScaleFlops);
   }
   EXPECT_EQ(counters.flops.load(), expected);
 }
