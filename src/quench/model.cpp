@@ -161,6 +161,8 @@ QuenchResult QuenchModel::run() {
       rec.set("t", s.t);
       rec.set("dt", s.dt);
       rec.set("newton_iterations", s.newton_iterations);
+      rec.set("factorizations", adv ? adv->step.factorizations : 0);
+      rec.set("newton_contraction", adv ? adv->step.max_contraction : 0.0);
       rec.set("gmres_iterations_total",
               static_cast<long long>(reg.counter("solver.gmres.iterations").value()));
       rec.set("rejections", s.rejections);
@@ -251,6 +253,8 @@ ResistivityResult measure_resistivity(LandauOperator& op, double e_z, double dt,
       rec.set("step", step);
       rec.set("dt", adv.dt);
       rec.set("newton_iterations", adv.step.newton_iterations);
+      rec.set("factorizations", adv.step.factorizations);
+      rec.set("newton_contraction", adv.step.max_contraction);
       rec.set("rejections", adv.rejections);
       rec.set("j_z", j);
       rec.set("e_z", e_z);

@@ -11,6 +11,22 @@
 
 namespace landau {
 
+namespace {
+
+// Lagged Newton matrix: an iteration refactors only when the residual
+// contracted by less than this factor since the previous iteration,
+// |G_k| > rho |G_{k-1}|. Probed on the test mesh (electron bi-Maxwellian,
+// alone and with a colder D of mass 25; dt 0.3 to 500; E 0 and 0.5): of
+// the 14 steps that converge when factoring at every iteration, 12 take
+// within one iteration of it at rho = 0.5, and the two E = 0.5, dt 50 steps
+// take 19 instead of 12 and 23 instead of 21. Never refactoring fails on 4
+// of the 14 (E = 0.5 from dt 5 up), so the rule is needed. rho = 0.9 factors
+// far less on slowly contracting steps but took 43 iterations instead of 27
+// on the bi-Maxwellian with E = 0.5 at dt 5.
+constexpr double kRefactorContraction = 0.5;
+
+} // namespace
+
 ImplicitIntegrator::ImplicitIntegrator(CollisionOperatorBase& op, NewtonOptions nopts,
                                        LinearSolverKind linear, LinearSolverOptions lsopts)
     : op_(op), nopts_(nopts), linear_(linear), lsopts_(lsopts), cmat_(op.new_matrix()),
@@ -32,63 +48,50 @@ void ImplicitIntegrator::invalidate_if_structure_changed(const la::CsrMatrix& jm
   sym_nnz_ = jmat.nnz();
 }
 
-void ImplicitIntegrator::factor_and_solve(const la::CsrMatrix& jmat, const la::Vec& rhs,
-                                          la::Vec& x) {
-  // Defined-output contract: x is zeroed up front, so if the factorization or
-  // solve throws, the caller's update vector holds zeros (a no-op Newton
-  // update), never a stale or partial solution.
-  x.zero();
+void ImplicitIntegrator::factor() {
   auto& fault = FaultInjector::instance();
   if (fault.armed() && fault.fire(FaultKind::Throw, "factor"))
     LANDAU_THROW("injected fault: linear solver factorization failure");
   if (robustness().paranoid)
-    LANDAU_ASSERT(jmat.all_finite(), "paranoid: non-finite entries in the Newton matrix");
-  invalidate_if_structure_changed(jmat);
-  auto fire_solve_fault = [&fault] {
-    if (fault.armed() && fault.fire(FaultKind::Throw, "solve"))
-      LANDAU_THROW("injected fault: triangular solve failure");
-  };
+    LANDAU_ASSERT(jmat_.all_finite(), "paranoid: non-finite entries in the Newton matrix");
+  invalidate_if_structure_changed(jmat_);
   switch (linear_) {
     case LinearSolverKind::BandLU: {
       if (!band_.analyzed()) {
-        band_.analyze(jmat);
+        band_.analyze(jmat_);
         LANDAU_DEBUG("band solver: " << band_.n_blocks() << " blocks, bandwidth "
                                      << band_.bandwidth());
       }
-      {
-        ScopedEvent ev("landau:factor");
-        band_.factor(jmat);
-      }
-      ScopedEvent ev("landau:solve");
-      fire_solve_fault();
-      band_.solve(rhs, x);
+      ScopedEvent ev("landau:factor");
+      band_.factor(jmat_);
       break;
     }
     case LinearSolverKind::DeviceBandLU: {
       if (!device_band_) device_band_ = std::make_unique<la::DeviceBlockBandSolver>(op_.worker_pool());
-      if (!device_band_->analyzed()) device_band_->analyze(jmat);
-      {
-        ScopedEvent ev("landau:factor");
-        device_band_->factor(jmat);
-      }
-      ScopedEvent ev("landau:solve");
-      fire_solve_fault();
-      device_band_->solve(rhs, x);
+      if (!device_band_->analyzed()) device_band_->analyze(jmat_);
+      ScopedEvent ev("landau:factor");
+      device_band_->factor(jmat_);
       break;
     }
     case LinearSolverKind::DenseLU: {
-      std::unique_ptr<la::DenseLU> lu;
-      {
-        ScopedEvent ev("landau:factor");
-        lu = std::make_unique<la::DenseLU>(jmat.to_dense());
-      }
-      ScopedEvent ev2("landau:solve");
-      fire_solve_fault();
-      lu->solve(rhs, x);
+      ScopedEvent ev("landau:factor");
+      dense_.emplace(jmat_.to_dense()); // a throw leaves dense_ empty, no stale LU
       break;
     }
+    case LinearSolverKind::Gmres: break; // solve() iterates on jmat_ itself
+  }
+}
+
+void ImplicitIntegrator::solve(const la::Vec& rhs, la::Vec& x) {
+  ScopedEvent ev("landau:solve");
+  auto& fault = FaultInjector::instance();
+  if (fault.armed() && fault.fire(FaultKind::Throw, "solve"))
+    LANDAU_THROW("injected fault: triangular solve failure");
+  switch (linear_) {
+    case LinearSolverKind::BandLU: band_.solve(rhs, x); break;
+    case LinearSolverKind::DeviceBandLU: device_band_->solve(rhs, x); break;
+    case LinearSolverKind::DenseLU: dense_->solve(rhs, x); break;
     case LinearSolverKind::Gmres: {
-      ScopedEvent ev("landau:solve");
       x.zero();
       la::GmresOptions gopts;
       gopts.rtol = lsopts_.gmres_rtol;
@@ -96,7 +99,7 @@ void ImplicitIntegrator::factor_and_solve(const la::CsrMatrix& jmat, const la::V
       gopts.max_iterations = lsopts_.gmres_max_iterations;
       gopts.restart = lsopts_.gmres_restart;
       gopts.jacobi_preconditioner = lsopts_.gmres_jacobi_preconditioner;
-      const auto res = la::gmres_solve(jmat, rhs, x, gopts);
+      const auto res = la::gmres_solve(jmat_, rhs, x, gopts);
       static obs::Counter& gmres_iters =
           obs::MetricsRegistry::instance().counter("solver.gmres.iterations");
       gmres_iters.inc(res.iterations);
@@ -115,7 +118,7 @@ StepStats ImplicitIntegrator::step(la::Vec& f, double dt, double e_z, const la::
   LANDAU_ASSERT(f.size() == n, "state size mismatch");
   if (cmat_.rows() != n) {
     // The operator was rebuilt under us (AMR refine): new matrices with the
-    // new pattern; factor_and_solve notices and re-runs the symbolic phase.
+    // new pattern; factor() notices and re-runs the symbolic phase.
     cmat_ = op_.new_matrix();
     jmat_ = cmat_;
   }
@@ -153,7 +156,7 @@ StepStats ImplicitIntegrator::step(la::Vec& f, double dt, double e_z, const la::
   }
 
   StepStats stats;
-  double r0 = -1.0;
+  double r0 = -1.0, r_prev = 0.0;
 
   if (fault.armed()) {
     // Injected terminal outcomes, emulated cheaply at the step boundary: a
@@ -200,6 +203,9 @@ StepStats ImplicitIntegrator::step(la::Vec& f, double dt, double e_z, const la::
                                                    << ": non-finite residual norm");
       return stats;
     }
+    // r_prev > 0 here: a zero residual always meets the tolerance below.
+    const double contraction = it > 0 ? stats.residual_norm / r_prev : 0.0;
+    stats.max_contraction = std::max(stats.max_contraction, contraction);
     if (r0 < 0) r0 = stats.residual_norm > 0 ? stats.residual_norm : 1.0;
     if (nopts_.verbose)
       LANDAU_INFO("newton " << it << " |G| = " << stats.residual_norm);
@@ -207,12 +213,21 @@ StepStats ImplicitIntegrator::step(la::Vec& f, double dt, double e_z, const la::
       stats.converged = true;
       break;
     }
+    r_prev = stats.residual_norm;
 
-    // Newton matrix M - theta dt (C - A); solve for the update.
-    jmat_.zero_entries();
-    jmat_.axpy(1.0, mass);
-    jmat_.axpy(-dt * theta, cmat_);
-    factor_and_solve(jmat_, r, delta);
+    // Defined output: the update is zeroed before the factor and the solve,
+    // so a throw from either leaves a no-op update, never a stale one.
+    delta.zero();
+    if (it == 0 || contraction > kRefactorContraction) {
+      // Newton matrix M - theta dt (C - A) about f_k, factored; the other
+      // iterations solve with these factors against the true residual G_k.
+      jmat_.zero_entries();
+      jmat_.axpy(1.0, mass);
+      jmat_.axpy(-dt * theta, cmat_);
+      factor();
+      ++stats.factorizations;
+    }
+    solve(r, delta);
     f.axpy(-1.0, delta);
     if (fault.armed() && fault.fire(FaultKind::Nan, "state"))
       f[0] = std::numeric_limits<double>::quiet_NaN();
@@ -249,9 +264,12 @@ StepStats ImplicitIntegrator::step(la::Vec& f, double dt, double e_z, const la::
   // handles are resolved once and the updates are relaxed atomics.
   static obs::Counter& newton_total =
       obs::MetricsRegistry::instance().counter("solver.newton.iterations");
+  static obs::Counter& factor_total =
+      obs::MetricsRegistry::instance().counter("solver.factorizations");
   static obs::Histogram& newton_hist = obs::MetricsRegistry::instance().histogram(
       "solver.newton.per_step", {1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0});
   newton_total.inc(stats.newton_iterations);
+  factor_total.inc(stats.factorizations);
   newton_hist.observe(static_cast<double>(stats.newton_iterations));
   return stats;
 }

@@ -1,23 +1,31 @@
 #pragma once
-// Fully implicit (backward Euler) advance of the Vlasov(E)-Landau system with
-// the paper's quasi-Newton iteration (§III): the Jacobian is the FE operator
-// with the Landau coefficients D(f), K(f) frozen at the current iterate and
-// fully recomputed every iteration; the iteration converges linearly and is
-// the solver XGC uses in production.
+// Fully implicit (backward Euler, or theta) advance of the Vlasov(E)-Landau
+// system with the paper's quasi-Newton iteration (§III): the Jacobian is the
+// FE operator with the Landau coefficients D(f), K(f) frozen at an iterate.
+// The iteration converges linearly and is the solver XGC uses in production.
 //
-// One step solves G(f) = M (f - f_n) + dt [A f - C(f) f - M s] = 0,
-// with A the E-field advection blocks, C the frozen-coefficient collision
-// matrix and s an optional source. The Newton matrix is M + dt (A - C).
+// One step solves G(f) = M (f - f_n) - dt [theta (C(f) - A) f
+// + (1 - theta) (C(f_n) - A) f_n] - dt M s = 0, with A the E-field advection
+// blocks, C the frozen-coefficient collision matrix and s an optional source.
+// Every iteration packs f_k and assembles C(f_k) for the true residual G_k.
+// The Newton matrix M - theta dt (C - A) is assembled and factored at the
+// step's first iteration, and again only when the residual contracts too
+// slowly (|G_k| > rho |G_{k-1}|); other iterations solve with the factors
+// they have (a lagged Jacobian, PETSc's -snes_lag_jacobian). No factorization
+// outlives a step() call.
 //
 // Linear solvers: the custom block band LU with RCM ordering (§III-G,
 // default — the species blocks factor independently, batched over the
 // operator's worker pool), the device band LU (same batch in the emulated
 // CUDA model), dense LU (reference), or GMRES (the iterative alternative the
-// conclusion discusses). The band solvers' symbolic analysis (RCM, block
-// discovery, scatter maps) is cached across Newton iterations and steps, and
-// invalidated only when the matrix nonzero structure changes (AMR refine).
+// conclusion discusses). All four follow the same lagging rule; GMRES keeps
+// no factors and solves with the last Newton matrix assembled. The band
+// solvers' symbolic analysis (RCM, block discovery, scatter maps) is cached
+// across Newton iterations and steps, and invalidated only when the matrix
+// nonzero structure changes (AMR refine).
 
 #include <memory>
+#include <optional>
 
 #include "core/operator_base.h"
 #include "la/band.h"
@@ -62,6 +70,12 @@ struct StepStats {
   /// controller) must roll back to their pre-step snapshot.
   bool non_finite = false;
   double residual_norm = 0.0;
+  /// Newton matrices assembled in the step (factored, for the direct
+  /// solvers): 1 when the first factorization served every iteration.
+  int factorizations = 0;
+  /// Largest residual contraction |G_k| / |G_{k-1}| in the step; 0 when the
+  /// step computed fewer than two residuals.
+  double max_contraction = 0.0;
 };
 
 class ImplicitIntegrator {
@@ -88,7 +102,12 @@ public:
 
 private:
   void invalidate_if_structure_changed(const la::CsrMatrix& jmat);
-  void factor_and_solve(const la::CsrMatrix& jmat, const la::Vec& rhs, la::Vec& x);
+  /// Structure check, "factor" fault site, paranoid audit, then the chosen
+  /// solver's factorization of jmat_ (GMRES keeps none).
+  void factor();
+  /// x = jmat_^-1 rhs with the factors of the last factor() ("solve" fault
+  /// site first); GMRES iterates on jmat_ as last assembled.
+  void solve(const la::Vec& rhs, la::Vec& x);
 
   CollisionOperatorBase& op_;
   NewtonOptions nopts_;
@@ -98,6 +117,7 @@ private:
   la::CsrMatrix amat_; // -e_z A of the current step, allocated by the first step
   la::BlockBandSolver band_;
   std::unique_ptr<la::DeviceBlockBandSolver> device_band_;
+  std::optional<la::DenseLU> dense_;
   std::size_t sym_rows_ = 0, sym_nnz_ = 0; // structure signature of the cache
   long newton_count_ = 0;
 };

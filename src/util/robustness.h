@@ -21,7 +21,10 @@
 //        stagnate         the Newton update stalls (state untouched,
 //                         stagnated = true)
 //        nan              a NaN appears at `site` (rhs | state)
-//        throw            landau::Error thrown at `site` (factor | solve)
+//        throw            landau::Error thrown at `site` (factor | solve);
+//                         factor fires only on iterations that factor the
+//                         Newton matrix, which always includes an
+//                         attempt's first iteration
 //    an optional site restricting where the fault fires, and N the 0-based
 //    *attempt* index: every ImplicitIntegrator::step() call — including the
 //    step controller's retries — advances the counter by one, so a retried

@@ -326,15 +326,18 @@ TEST(ObsStepLog, QuenchRunWritesSchemaCompliantNdjson) {
     ASSERT_FALSE(line.empty());
     const obs::JsonValue rec = obs::JsonValue::parse(line); // throws if malformed
     ASSERT_TRUE(rec.is_object());
-    for (const char* key : {"kind", "step", "t", "dt", "newton_iterations",
-                            "gmres_iterations_total", "rejections", "n_e", "j_z", "e_z", "t_e",
-                            "phase"})
-      EXPECT_TRUE(rec.contains(key)) << "missing key '" << key << "' in: " << line;
+    for (const char* key : {"kind", "step", "t", "dt", "newton_iterations", "factorizations",
+                            "newton_contraction", "gmres_iterations_total", "rejections", "n_e",
+                            "j_z", "e_z", "t_e", "phase"})
+      ASSERT_TRUE(rec.contains(key)) << "missing key '" << key << "' in: " << line;
     EXPECT_EQ(rec.find("kind")->as_string(), "quench");
     EXPECT_EQ(rec.find("step")->as_int(), n_lines);
     if (n_lines > 0) {
       EXPECT_GT(rec.find("dt")->as_double(), 0.0);
       EXPECT_GE(rec.find("newton_iterations")->as_int(), 1);
+      // Every step factors at its first iteration; the lag may skip the rest.
+      EXPECT_GE(rec.find("factorizations")->as_int(), 1);
+      EXPECT_LE(rec.find("factorizations")->as_int(), rec.find("newton_iterations")->as_int());
     }
     ++n_lines;
   }

@@ -51,11 +51,20 @@ with open(steps_path) as f:
     lines = [json.loads(line) for line in f if line.strip()]
 assert len(lines) >= 6, f"expected >= 6 step records, got {len(lines)}"
 for rec in lines:
-    for key in ("kind", "step", "t", "dt", "newton_iterations",
-                "gmres_iterations_total", "rejections", "n_e", "j_z", "e_z",
-                "t_e", "phase"):
+    for key in ("kind", "step", "t", "dt", "newton_iterations", "factorizations",
+                "newton_contraction", "gmres_iterations_total", "rejections", "n_e",
+                "j_z", "e_z", "t_e", "phase"):
         assert key in rec, f"step record missing '{key}': {rec}"
-print(f"telemetry ok: {len(events)} spans, {len(lines)} step records")
+# The lagged Newton matrix: each step factors at its first iteration and
+# reuses the LU while the residual contracts, so a run that factors at every
+# iteration has lost the lag.
+steps = [rec for rec in lines if rec["step"] > 0]
+factors = sum(rec["factorizations"] for rec in steps)
+iterations = sum(rec["newton_iterations"] for rec in steps)
+assert factors < iterations, \
+    f"{factors} factorizations for {iterations} Newton iterations: the LU is never reused"
+print(f"telemetry ok: {len(events)} spans, {len(lines)} step records, "
+      f"{factors} factorizations / {iterations} Newton iterations")
 EOF
   python3 tools/bench_compare.py --self-test
 else
