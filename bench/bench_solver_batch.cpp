@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
       auto lopts = perf_mesh_options(opts, Backend::CudaSim);
       lopts.n_workers = w;
       LandauOperator op(species, lopts);
-      auto ct = measure_components(op, steps, 0.5);
+      auto ct = measure_components(op, steps);
       const double its_per_s = ct.iterations / ct.seconds;
       t2.add_row()
           .cell(static_cast<long long>(w))

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
       op.pack(op.maxwellian_state());
       la::CsrMatrix j = op.new_matrix();
       op.add_collision(j, &counters);
-      const auto ct = measure_components(op, steps, 0.5);
+      const auto ct = measure_components(op, steps);
       const double gpu_time = static_cast<double>(counters.flops.load()) / 4.15e12;
       PaperCalibration cal{ct.total - ct.kernel + gpu_time, ct.landau, gpu_time, ct.factor,
                            ct.solve};

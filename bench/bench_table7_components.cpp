@@ -14,7 +14,6 @@ int main(int argc, char** argv) {
   Options opts;
   opts.parse(argc, argv);
   const int steps = opts.get<int>("steps", 2, "measured steps per back-end");
-  const double dt = opts.get<double>("dt", 0.5, "time step");
   if (opts.help_requested()) {
     std::printf("%s", opts.help_text().c_str());
     return 0;
@@ -23,16 +22,17 @@ int main(int argc, char** argv) {
   auto species = perf_species(true);
   TableWriter table(
       "Table VII: per-Newton-iteration component times (ms) on this host, by back-end");
-  table.header({"back-end", "total", "Landau", "(kernel)", "factor", "solve", "iters"});
+  table.header({"back-end", "total", "Landau", "(kernel)", "factor", "solve", "iters",
+                "factors/step", "max |G_k|/|G_k-1|"});
 
   BenchReport report("table7_components");
   for (Backend be : {Backend::Cpu, Backend::CudaSim, Backend::KokkosSim}) {
     auto lopts = perf_mesh_options(opts, be);
     LandauOperator op(species, lopts);
-    const auto ct = measure_components(op, steps, dt);
+    const auto ct = measure_components(op, steps);
     table.add_row().cell(backend_name(be)).cell(ct.total * 1e3, 2).cell(ct.landau * 1e3, 2)
         .cell(ct.kernel * 1e3, 2).cell(ct.factor * 1e3, 2).cell(ct.solve * 1e3, 2)
-        .cell(ct.iterations);
+        .cell(ct.iterations).cell(ct.factorizations, 2).cell(ct.max_contraction, 3);
     const std::string prefix = backend_name(be);
     report.metric(prefix + ".total_ms", ct.total * 1e3, "ms", "lower");
     report.metric(prefix + ".kernel_ms", ct.kernel * 1e3, "ms", "lower");

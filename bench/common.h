@@ -12,10 +12,12 @@
 //    target device by peak-throughput ratios (the substitution path when no
 //    GPU exists).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/operator.h"
 #include "util/logging.h"
@@ -137,42 +139,58 @@ struct ComponentTimes {
   double factor = 0;
   double solve = 0;
   int iterations = 0;
-  double seconds = 0; // wall time of the measurement
+  double factorizations = 0;  // band LU factorizations per measured step
+  double max_contraction = 0; // largest |G_k|/|G_{k-1}| over the measured steps
+  double seconds = 0;         // wall time of the measured steps
 };
 
-/// Run `steps` implicit steps and report profiler-derived per-iteration
-/// component times.
-inline ComponentTimes measure_components(LandauOperator& op, int steps, double dt,
-                                         double newton_rtol = 1e-6, int max_iterations = 5) {
+/// Time `steps` implicit steps and report profiler-derived per-iteration
+/// component times. Every step starts from the same f0 — electrons drifting
+/// at 0.2 thermal speeds — with dt 0.02 and a fixed budget of 3 quasi-Newton
+/// iterations (rtol 0), as perfbench's species10 step does: the paper's
+/// throughput metric factors out solver tolerance (§V), and this step
+/// contracts, so the times describe a converging solve. From a Maxwellian,
+/// or at larger dt, the stiff W-W coupling stops the iteration contracting
+/// (|G_k|/|G_{k-1}| reaches 10^2-10^3 on the §V mesh).
+inline ComponentTimes measure_components(LandauOperator& op, int steps) {
   auto& prof = Profiler::instance();
-  // Cost measurement only: cap the quasi-Newton iteration count (the paper's
-  // throughput metric deliberately factors out solver tolerance, §V) and
-  // silence non-convergence warnings.
+  // Cost measurement only: the fixed budget never meets rtol 0, so silence
+  // the non-convergence warnings.
   const LogLevel saved_level = Logger::instance().level();
   Logger::instance().set_level(LogLevel::Error);
   NewtonOptions nopts;
-  nopts.rtol = newton_rtol;
-  nopts.max_iterations = max_iterations;
+  nopts.rtol = 0.0;
+  nopts.max_iterations = 3;
   ImplicitIntegrator integrator(op, nopts);
-  la::Vec f = op.maxwellian_state();
+  std::vector<double> drifts(static_cast<std::size_t>(op.n_species()), 0.0);
+  drifts[0] = 0.2;
+  const la::Vec f0 = op.maxwellian_state(drifts);
+  const double dt = 0.02;
   // Warm-up step: first CPU assembly fixes matrix metadata (§III-F) and the
   // band solver runs its RCM analysis; both are amortized in production.
+  la::Vec f = f0;
   integrator.step(f, dt);
   prof.reset();
-  Stopwatch watch;
-  for (int s = 0; s < steps; ++s) integrator.step(f, dt);
-  const double wall = watch.seconds();
-
   ComponentTimes ct;
+  int factorizations = 0;
+  for (int s = 0; s < steps; ++s) {
+    f = f0;
+    Stopwatch watch;
+    const StepStats st = integrator.step(f, dt);
+    ct.seconds += watch.seconds();
+    factorizations += st.factorizations;
+    ct.max_contraction = std::max(ct.max_contraction, st.max_contraction);
+  }
+
   ct.iterations = static_cast<int>(prof.count("landau:matrix"));
   if (ct.iterations == 0) ct.iterations = 1;
   const double n = ct.iterations;
-  ct.total = wall / n;
+  ct.total = ct.seconds / n;
   ct.landau = (prof.seconds("landau:matrix") + prof.seconds("landau:pack")) / n;
   ct.kernel = prof.seconds("landau:jacobian-kernel") / n;
   ct.factor = prof.seconds("landau:factor") / n;
   ct.solve = prof.seconds("landau:solve") / n;
-  ct.seconds = wall;
+  ct.factorizations = static_cast<double>(factorizations) / std::max(1, steps);
   Logger::instance().set_level(saved_level);
   return ct;
 }

@@ -4,7 +4,6 @@
 
 #include "exec/annotations.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/error.h"
 #include "util/profiler.h"
 
@@ -88,11 +87,9 @@ void assemble_landau_jacobian(Backend backend, exec::ThreadPool& pool,
   if (!ctx.species_offsets)
     LANDAU_ASSERT(j.rows() == ctx.n_free() * static_cast<std::size_t>(ctx.species->size()),
                   "Jacobian size mismatch");
-  ScopedEvent ev("landau:jacobian-kernel");
-  obs::TraceSpan span("landau:jacobian",
-                      {{"species", ctx.species->size()},
-                       {"cells", ctx.fes->n_cells()},
-                       {"ip_points", ctx.ip->n}});
+  ScopedEvent ev("landau:jacobian-kernel", {{"species", ctx.species->size()},
+                                            {"cells", ctx.fes->n_cells()},
+                                            {"ip_points", ctx.ip->n}});
   switch (backend) {
     case Backend::Cpu: detail::landau_kernel_cpu(ctx, j, counters); break;
     case Backend::CudaSim: detail::landau_kernel_cuda(pool, ctx, j, counters); break;
@@ -152,9 +149,9 @@ void assemble_mass_kernel(exec::ThreadPool& pool, const JacobianContext& ctx, do
   // The mass kernel replaces all of Algorithm 1 with
   // C <- Transform&Assemble(w[gip]*s, 0, 0, B, 0): pure FE + sparse assembly,
   // the memory-bound contrast case of the paper's roofline study (Table IV).
-  ScopedEvent ev("landau:mass-kernel");
-  obs::TraceSpan span("landau:mass",
-                      {{"species", ctx.species->size()}, {"cells", ctx.fes->n_cells()}});
+  ScopedEvent ev("landau:mass-kernel", {{"species", ctx.species->size()},
+                                        {"cells", ctx.fes->n_cells()},
+                                        {"ip_points", ctx.ip->n}});
   namespace check = exec::check;
   const auto& fes = *ctx.fes;
   const auto& tab = fes.tabulation();

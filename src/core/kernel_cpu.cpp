@@ -6,13 +6,13 @@
 #include "core/jacobian.h"
 #include "core/kernel_math.h"
 #include "exec/annotations.h"
-#include "obs/trace.h"
+#include "util/profiler.h"
 
 namespace landau::detail {
 
 void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
                        exec::KernelCounters* counters) {
-  obs::TraceSpan span("landau:jacobian-cpu", {{"cells", ctx.fes->n_cells()}});
+  ScopedEvent ev("landau:jacobian-cpu", {{"cells", ctx.fes->n_cells()}});
   const auto& fes = *ctx.fes;
   const auto& tab = fes.tabulation();
   const auto& ip = *ctx.ip;

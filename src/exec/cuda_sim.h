@@ -28,8 +28,8 @@
 #include "exec/check.h"
 #include "exec/counters.h"
 #include "exec/thread_pool.h"
-#include "obs/trace.h"
 #include "util/error.h"
+#include "util/profiler.h"
 
 namespace landau::exec {
 
@@ -196,14 +196,13 @@ private:
 
 /// Launch a kernel: run kernel(Block&) for every block of a 1D grid,
 /// dispatching blocks to the pool's workers ("SMs"). `name` labels the
-/// launch's span in the tracer (a string literal; nullptr = generic label) —
-/// with tracing off the whole cost is one relaxed flag load.
+/// launch's profiler event and trace span (nullptr = generic label).
 template <class Kernel>
 void launch(ThreadPool& pool, int grid_size, Dim3 block_dim, Kernel&& kernel,
             KernelCounters* counters = nullptr, check::KernelScope* chk = nullptr,
             const char* name = nullptr) {
-  obs::TraceSpan span(name ? name : "exec:launch",
-                      {{"grid", grid_size}, {"block_x", block_dim.x}, {"block_y", block_dim.y}});
+  ScopedEvent ev(name ? name : "exec:launch",
+                 {{"grid", grid_size}, {"block_x", block_dim.x}, {"block_y", block_dim.y}});
   const Dim3 grid{grid_size, 1, 1};
   check::run_grid(pool, static_cast<std::size_t>(grid_size), chk, counters, [&](std::size_t b) {
     Block blk(static_cast<int>(b), grid, block_dim, counters);

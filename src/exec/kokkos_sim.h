@@ -130,14 +130,15 @@ private:
 
 /// parallel_for over the league: each league member runs on one pool worker
 /// (one SM with the CUDA back-end, one OpenMP thread with the OpenMP one).
-/// `name` labels the dispatch's span in the tracer, as with exec::launch.
+/// `name` labels the dispatch's profiler event and trace span, as with
+/// exec::launch.
 template <class Functor>
 void parallel_for(ThreadPool& pool, const TeamPolicy& policy, Functor&& functor,
                   check::KernelScope* chk = nullptr, const char* name = nullptr) {
-  obs::TraceSpan span(name ? name : "kokkos:parallel_for",
-                      {{"league", policy.league_size},
-                       {"team", policy.team_size},
-                       {"vector", policy.vector_length}});
+  ScopedEvent ev(name ? name : "kokkos:parallel_for",
+                 {{"league", policy.league_size},
+                  {"team", policy.team_size},
+                  {"vector", policy.vector_length}});
   check::run_grid(pool, static_cast<std::size_t>(policy.league_size), chk, nullptr,
                   [&](std::size_t rank) {
                     TeamMember member(static_cast<int>(rank), policy);

@@ -13,7 +13,6 @@
 
 #include "util/error.h"
 #include "util/logging.h"
-#include "util/profiler.h"
 
 namespace landau::obs {
 
@@ -25,20 +24,11 @@ namespace {
 
 using clock = std::chrono::steady_clock;
 
-/// Process-relative nanosecond timestamp (epoch = first tracer touch).
-std::int64_t now_ns() {
+/// Process-relative nanoseconds (epoch = first tracer touch).
+std::int64_t since_epoch_ns(clock::time_point t) {
   static const clock::time_point t0 = clock::now();
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - t0).count();
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(t - t0).count();
 }
-
-/// One span begun but not yet ended on this thread.
-struct OpenSpan {
-  const char* name = nullptr;
-  std::int64_t t0_ns = 0;
-  std::uint64_t epoch = 0; // enable-generation; stale opens are discarded
-  std::int32_t n_args = 0;
-  TraceArg args[kMaxTraceArgs];
-};
 
 /// Completed-span ring of one thread. The owning thread writes under mu_;
 /// snapshot() reads under the same lock — uncontended in steady state, so the
@@ -91,7 +81,6 @@ struct Registry {
   std::mutex mu;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers;
   std::int32_t next_tid = 0;
-  std::atomic<std::uint64_t> epoch{0};
 };
 
 Registry& registry() {
@@ -99,27 +88,18 @@ Registry& registry() {
   return *r;
 }
 
-/// Thread-local tracer state; the buffer is shared with the registry so
-/// records survive thread exit.
-struct TlsState {
-  std::shared_ptr<ThreadBuffer> buffer;
-  std::vector<OpenSpan> stack;
-};
-
-TlsState& tls(std::size_t ring_capacity) {
-  thread_local TlsState state;
-  if (!state.buffer) {
+/// The calling thread's ring, created on first use; shared with the registry
+/// so records survive thread exit.
+ThreadBuffer& thread_buffer() {
+  thread_local std::shared_ptr<ThreadBuffer> buffer;
+  if (!buffer) {
     auto& reg = registry();
     std::lock_guard<std::mutex> lock(reg.mu);
-    state.buffer = std::make_shared<ThreadBuffer>(reg.next_tid++, ring_capacity);
-    reg.buffers.push_back(state.buffer);
-    state.stack.reserve(32);
+    buffer = std::make_shared<ThreadBuffer>(reg.next_tid++, Tracer::instance().ring_capacity());
+    reg.buffers.push_back(buffer);
   }
-  return state;
+  return *buffer;
 }
-
-void profiler_span_begin(const char* name) { Tracer::instance().begin(name); }
-void profiler_span_end() { Tracer::instance().end(); }
 
 void write_trace_at_exit() {
   auto& t = Tracer::instance();
@@ -132,7 +112,7 @@ void write_trace_at_exit() {
 } // namespace
 
 Tracer::Tracer() {
-  now_ns(); // pin the timestamp epoch before any span
+  since_epoch_ns(clock::now()); // pin the timestamp epoch before any span
   if (const char* env = std::getenv("LANDAU_TRACE"); env && *env) {
     path_ = env;
     enable();
@@ -146,58 +126,33 @@ Tracer& Tracer::instance() {
 }
 
 namespace {
-// Eager construction at load: TraceSpan tests the global flag *before* ever
-// touching instance(), so without this a binary that never calls instance()
-// explicitly would leave LANDAU_TRACE unparsed and the env path dead.
+// Eager construction at load: Profiler::begin tests the global flag without
+// ever touching instance(), so without this a binary that never calls
+// instance() explicitly would leave LANDAU_TRACE unparsed and the env path
+// dead.
 const bool g_tracer_env_parsed = (Tracer::instance(), true);
 } // namespace
 
-void Tracer::enable() {
-  registry().epoch.fetch_add(1, std::memory_order_relaxed);
-  Profiler::set_span_hooks(&profiler_span_begin, &profiler_span_end);
-  detail::g_trace_active.store(true, std::memory_order_relaxed);
-}
+void Tracer::enable() { detail::g_trace_active.store(true, std::memory_order_relaxed); }
 
-void Tracer::disable() {
-  detail::g_trace_active.store(false, std::memory_order_relaxed);
-  Profiler::set_span_hooks(nullptr, nullptr);
-}
+void Tracer::disable() { detail::g_trace_active.store(false, std::memory_order_relaxed); }
 
 void Tracer::set_ring_capacity(std::size_t spans) {
   ring_capacity_.store(std::max<std::size_t>(spans, 16), std::memory_order_relaxed);
 }
 
-void Tracer::begin(const char* name, std::initializer_list<TraceArg> args) {
-  if (!tracing()) return;
-  TlsState& state = tls(ring_capacity());
-  OpenSpan open;
-  open.name = name;
-  open.t0_ns = now_ns();
-  open.epoch = registry().epoch.load(std::memory_order_relaxed);
-  for (const TraceArg& a : args) {
-    if (open.n_args == kMaxTraceArgs) break;
-    open.args[open.n_args++] = a;
-  }
-  state.stack.push_back(open);
-}
-
-void Tracer::end() {
-  // Deliberately not gated on tracing(): a span that began before disable()
-  // still completes, so the buffers never hold half-open state.
-  TlsState& state = tls(ring_capacity());
-  if (state.stack.empty()) return; // enable()d mid-span: no matching begin
-  OpenSpan open = state.stack.back();
-  state.stack.pop_back();
-  if (open.epoch != registry().epoch.load(std::memory_order_relaxed)) return; // stale
+void detail::record_span(const char* name, clock::time_point t0, clock::time_point t1, int depth,
+                         const TraceArg* args, int n_args) {
+  ThreadBuffer& buffer = thread_buffer();
   SpanRecord rec;
-  rec.name = open.name;
-  rec.t0_ns = open.t0_ns;
-  rec.t1_ns = now_ns();
-  rec.tid = state.buffer->tid();
-  rec.depth = static_cast<std::int32_t>(state.stack.size());
-  rec.n_args = open.n_args;
-  for (int i = 0; i < open.n_args; ++i) rec.args[i] = open.args[i];
-  state.buffer->push(rec);
+  rec.name = name;
+  rec.t0_ns = since_epoch_ns(t0);
+  rec.t1_ns = since_epoch_ns(t1);
+  rec.tid = buffer.tid();
+  rec.depth = depth;
+  rec.n_args = n_args;
+  std::copy(args, args + n_args, rec.args);
+  buffer.push(rec);
 }
 
 std::vector<SpanRecord> Tracer::snapshot() const {

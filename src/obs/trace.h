@@ -1,19 +1,19 @@
 #pragma once
-// Span tracer: per-thread ring buffers of nested begin/end spans with typed
+// Span tracer: per-thread ring buffers of completed spans with typed
 // arguments (kernel name, grid/block dims, species, element count), exported
 // as Chrome trace-event JSON (load in chrome://tracing or Perfetto) and as a
-// collapsed self-time tree. This supplies the parent/child hierarchy the
-// profiler header used to promise: Profiler events route here through span
-// hooks (installed on enable), so every ScopedEvent in the solver and
-// assembly layers appears as a span without touching its call site.
+// collapsed self-time tree. The spans are the profiler's events: a
+// ScopedEvent (util/profiler.h) that begins while tracing() is on writes one
+// record here when it ends, through detail::record_span. A span is written if
+// and only if tracing was on when its event began; it still completes when
+// disable() comes before its end, and clear() discards completed records
+// only.
 //
-// Cost model, mirroring the device checker's: with tracing off (the default)
-// every hook is one relaxed atomic load of a global flag — no allocation, no
-// clock read, no branch beyond the test (bench_trace_overhead measures the
-// end-to-end slowdown at < 2% on a relaxation step). With tracing on, each
-// span is two steady_clock reads plus one write into a thread-local ring
-// buffer; no locks are taken on the hot path (the registry mutex is touched
-// only when a thread's buffer is first created).
+// Cost model: tracing off adds one relaxed flag load to an event's own clock
+// reads; tracing on adds one write into the thread's ring (an uncontended
+// lock; the registry mutex is touched only when a thread's buffer is first
+// created). bench_trace_overhead measures both, and the end-to-end slowdown
+// of a traced relaxation step (< 2% target).
 //
 // Ring semantics: each thread owns a fixed-capacity buffer of *completed*
 // spans; when it wraps, the oldest records are overwritten and a drop count
@@ -32,8 +32,8 @@
 //   std::puts(obs::Tracer::instance().self_time_report().c_str());
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -64,10 +64,10 @@ inline constexpr int kMaxTraceArgs = 4;
 
 /// One completed span as stored in a thread's ring buffer.
 struct SpanRecord {
-  const char* name = nullptr; // static storage or profiler-interned
+  const char* name = nullptr; // profiler-interned event name
   std::int64_t t0_ns = 0, t1_ns = 0;
   std::int32_t tid = 0;
-  std::int32_t depth = 0; // nesting depth at begin (0 = top level)
+  std::int32_t depth = 0; // traced events enclosing it on its thread (0 = top level)
   std::int32_t n_args = 0;
   TraceArg args[kMaxTraceArgs];
 };
@@ -84,10 +84,16 @@ struct SpanTreeNode {
 
 namespace detail {
 extern std::atomic<bool> g_trace_active;
+
+/// Append one completed span to the calling thread's ring. Profiler::end
+/// calls it for every event that began with tracing on; `name` and the
+/// argument keys must outlive the tracer.
+void record_span(const char* name, std::chrono::steady_clock::time_point t0,
+                 std::chrono::steady_clock::time_point t1, int depth, const TraceArg* args,
+                 int n_args);
 } // namespace detail
 
-/// The one query every instrumentation site makes first; compiled to a single
-/// relaxed load, this is the whole cost of a disabled tracer.
+/// Whether an event beginning now becomes a span: one relaxed load.
 inline bool tracing() { return detail::g_trace_active.load(std::memory_order_relaxed); }
 
 class LANDAU_HOST_ONLY Tracer {
@@ -108,18 +114,12 @@ public:
   void set_ring_capacity(std::size_t spans);
   std::size_t ring_capacity() const { return ring_capacity_.load(std::memory_order_relaxed); }
 
-  /// Begin/end one span on the calling thread. `name` must outlive the
-  /// tracer (string literal or profiler-interned). No-ops when disabled;
-  /// an end() without a live begin() is ignored (cross-enable unwind).
-  void begin(const char* name) { begin(name, {}); }
-  void begin(const char* name, std::initializer_list<TraceArg> args);
-  void end();
-
   /// All completed spans currently held in the ring buffers, in t0 order.
   std::vector<SpanRecord> snapshot() const;
   /// Spans overwritten by ring wrap-around since the last clear().
   std::int64_t dropped() const;
-  /// Discard all recorded spans (buffers stay registered).
+  /// Discard all completed spans (buffers stay registered); an event still
+  /// open writes its span when it ends.
   void clear();
 
   /// Merge the recorded spans into one self-time tree (threads merged by
@@ -140,31 +140,6 @@ private:
 
   std::string path_;
   std::atomic<std::size_t> ring_capacity_{1u << 15};
-};
-
-/// RAII span; the disabled path is a single flag test per constructor.
-class TraceSpan {
-public:
-  explicit TraceSpan(const char* name) {
-    if (tracing()) {
-      live_ = true;
-      Tracer::instance().begin(name);
-    }
-  }
-  TraceSpan(const char* name, std::initializer_list<TraceArg> args) {
-    if (tracing()) {
-      live_ = true;
-      Tracer::instance().begin(name, args);
-    }
-  }
-  ~TraceSpan() {
-    if (live_) Tracer::instance().end();
-  }
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-private:
-  bool live_ = false;
 };
 
 } // namespace landau::obs

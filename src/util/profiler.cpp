@@ -4,21 +4,31 @@
 #include <iomanip>
 #include <sstream>
 
+#include "util/error.h"
+
 namespace landau {
 namespace {
 
-struct StackFrame {
-  int id;
-  std::chrono::steady_clock::time_point start;
-  bool hooked; // a span-begin hook fired for this frame; end must balance it
+using clock = std::chrono::steady_clock;
+
+/// One open event on this thread; `traced` events keep their span arguments.
+struct Frame {
+  int id = -1;
+  bool traced = false; // tracing was on at begin: end writes one span
+  std::int32_t n_args = 0;
+  obs::TraceArg args[obs::kMaxTraceArgs];
+  clock::time_point start;
 };
 
-thread_local std::vector<StackFrame> tls_stack;
+/// This thread's open events: frames[0, depth). Frames are reused, so a
+/// begin writes only the fields it needs.
+struct EventStack {
+  std::vector<Frame> frames;
+  std::size_t depth = 0;
+};
+thread_local EventStack tls_stack;
 
 } // namespace
-
-std::atomic<Profiler::SpanBeginHook> Profiler::span_begin_hook_{nullptr};
-std::atomic<Profiler::SpanEndHook> Profiler::span_end_hook_{nullptr};
 
 Profiler& Profiler::instance() {
   // Leaked so the interned event names stay valid in the span tracer's
@@ -27,79 +37,85 @@ Profiler& Profiler::instance() {
   return *p;
 }
 
-void Profiler::set_span_hooks(SpanBeginHook begin, SpanEndHook end) {
-  span_begin_hook_.store(begin, std::memory_order_relaxed);
-  span_end_hook_.store(end, std::memory_order_relaxed);
+const Profiler::Slot* Profiler::find(std::string_view name) const {
+  auto it = ids_.find(name);
+  return it == ids_.end() ? nullptr : &slot(it->second);
 }
 
-const char* Profiler::name_of(int id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (id < 0 || static_cast<std::size_t>(id) >= slots_.size()) return "?";
-  return slots_[static_cast<std::size_t>(id)]->name.c_str();
-}
-
-int Profiler::event_id(const std::string& name) {
+int Profiler::event_id(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
-  int id = static_cast<int>(slots_.size());
-  auto slot = std::make_unique<Slot>();
-  slot->name = name;
-  slots_.push_back(std::move(slot));
-  ids_[name] = id;
+  const int id = n_slots_;
+  LANDAU_ASSERT(id < kChunkSlots * kMaxChunks,
+                "profiler: more than " << kChunkSlots * kMaxChunks << " events");
+  auto& chunk = chunks_[static_cast<std::size_t>(id / kChunkSlots)];
+  if (!chunk) chunk = std::make_unique<Slot[]>(kChunkSlots);
+  slot(id).name = std::string(name);
+  ids_.emplace(std::string(name), id);
+  ++n_slots_;
   return id;
 }
 
-void Profiler::begin(int id) {
-  bool hooked = false;
-  if (SpanBeginHook hook = span_begin_hook_.load(std::memory_order_relaxed)) {
-    hook(name_of(id));
-    hooked = true;
-  }
-  tls_stack.push_back({id, std::chrono::steady_clock::now(), hooked});
+void Profiler::begin(int id, std::initializer_list<obs::TraceArg> args) {
+  EventStack& st = tls_stack;
+  if (st.depth == st.frames.size()) st.frames.emplace_back();
+  Frame& f = st.frames[st.depth++];
+  f.id = id;
+  f.traced = obs::tracing();
+  f.n_args = 0;
+  if (f.traced)
+    for (const obs::TraceArg& a : args) {
+      if (f.n_args == obs::kMaxTraceArgs) break;
+      f.args[f.n_args++] = a;
+    }
+  f.start = clock::now();
 }
 
 void Profiler::end(int id) {
-  auto now = std::chrono::steady_clock::now();
-  const SpanEndHook end_hook = span_end_hook_.load(std::memory_order_relaxed);
+  const auto now = clock::now();
   // Unwind to the matching begin; mismatches indicate a bug but we stay
-  // robust. Every popped frame that opened a span closes it, so the tracer's
-  // per-thread stack stays balanced even through a mismatched unwind.
-  while (!tls_stack.empty()) {
-    auto [top_id, start, hooked] = tls_stack.back();
-    tls_stack.pop_back();
-    if (hooked && end_hook) end_hook();
-    if (top_id == id) {
-      auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(now - start).count();
-      slots_[id]->nanos.fetch_add(ns, std::memory_order_relaxed);
-      slots_[id]->count.fetch_add(1, std::memory_order_relaxed);
+  // robust. Every popped frame that began traced writes its span.
+  EventStack& st = tls_stack;
+  while (st.depth > 0) {
+    const Frame& f = st.frames[--st.depth];
+    if (f.traced) {
+      int depth = 0;
+      for (std::size_t i = 0; i < st.depth; ++i) depth += st.frames[i].traced;
+      obs::detail::record_span(slot(f.id).name.c_str(), f.start, now, depth, f.args, f.n_args);
+    }
+    if (f.id == id) {
+      Slot& s = slot(id);
+      s.nanos.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(now - f.start).count(),
+                        std::memory_order_relaxed);
+      s.count.fetch_add(1, std::memory_order_relaxed);
       return;
     }
   }
 }
 
 void Profiler::add(int id, double seconds, std::int64_t count) {
-  slots_[id]->nanos.fetch_add(static_cast<std::int64_t>(seconds * 1e9),
-                              std::memory_order_relaxed);
-  slots_[id]->count.fetch_add(count, std::memory_order_relaxed);
+  slot(id).nanos.fetch_add(static_cast<std::int64_t>(seconds * 1e9), std::memory_order_relaxed);
+  slot(id).count.fetch_add(count, std::memory_order_relaxed);
 }
 
 void Profiler::add_work(int id, std::int64_t flops, std::int64_t dram_bytes) {
-  slots_[id]->flops.fetch_add(flops, std::memory_order_relaxed);
-  slots_[id]->dram_bytes.fetch_add(dram_bytes, std::memory_order_relaxed);
+  slot(id).flops.fetch_add(flops, std::memory_order_relaxed);
+  slot(id).dram_bytes.fetch_add(dram_bytes, std::memory_order_relaxed);
 }
 
 std::vector<EventStats> Profiler::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<EventStats> out;
-  out.reserve(slots_.size());
-  for (const auto& s : slots_) {
+  out.reserve(static_cast<std::size_t>(n_slots_));
+  for (int id = 0; id < n_slots_; ++id) {
+    const Slot& s = slot(id);
     EventStats es;
-    es.name = s->name;
-    es.count = s->count.load(std::memory_order_relaxed);
-    es.seconds = 1e-9 * static_cast<double>(s->nanos.load(std::memory_order_relaxed));
-    es.flops = s->flops.load(std::memory_order_relaxed);
-    es.dram_bytes = s->dram_bytes.load(std::memory_order_relaxed);
+    es.name = s.name;
+    es.count = s.count.load(std::memory_order_relaxed);
+    es.seconds = 1e-9 * static_cast<double>(s.nanos.load(std::memory_order_relaxed));
+    es.flops = s.flops.load(std::memory_order_relaxed);
+    es.dram_bytes = s.dram_bytes.load(std::memory_order_relaxed);
     out.push_back(es);
   }
   std::sort(out.begin(), out.end(),
@@ -107,41 +123,26 @@ std::vector<EventStats> Profiler::snapshot() const {
   return out;
 }
 
-double Profiler::seconds(const std::string& name) const {
+double Profiler::seconds(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = ids_.find(name);
-  if (it == ids_.end()) return 0.0;
-  return 1e-9 * static_cast<double>(slots_[it->second]->nanos.load(std::memory_order_relaxed));
+  const Slot* s = find(name);
+  return s ? 1e-9 * static_cast<double>(s->nanos.load(std::memory_order_relaxed)) : 0.0;
 }
 
-std::int64_t Profiler::count(const std::string& name) const {
+std::int64_t Profiler::count(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = ids_.find(name);
-  if (it == ids_.end()) return 0;
-  return slots_[it->second]->count.load(std::memory_order_relaxed);
-}
-
-std::int64_t Profiler::flops(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = ids_.find(name);
-  if (it == ids_.end()) return 0;
-  return slots_[it->second]->flops.load(std::memory_order_relaxed);
-}
-
-std::int64_t Profiler::dram_bytes(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = ids_.find(name);
-  if (it == ids_.end()) return 0;
-  return slots_[it->second]->dram_bytes.load(std::memory_order_relaxed);
+  const Slot* s = find(name);
+  return s ? s->count.load(std::memory_order_relaxed) : 0;
 }
 
 void Profiler::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& s : slots_) {
-    s->count.store(0, std::memory_order_relaxed);
-    s->nanos.store(0, std::memory_order_relaxed);
-    s->flops.store(0, std::memory_order_relaxed);
-    s->dram_bytes.store(0, std::memory_order_relaxed);
+  for (int id = 0; id < n_slots_; ++id) {
+    Slot& s = slot(id);
+    s.count.store(0, std::memory_order_relaxed);
+    s.nanos.store(0, std::memory_order_relaxed);
+    s.flops.store(0, std::memory_order_relaxed);
+    s.dram_bytes.store(0, std::memory_order_relaxed);
   }
 }
 

@@ -4,23 +4,29 @@
 // component-time benches (Table VII) read their numbers from here.
 //
 // Thread-safety: events may begin/end on any thread; accumulation is atomic.
+// Event slots never move, so end()/add()/add_work() read them without the
+// lock while event_id() registers names on other threads.
 //
-// Contract: snapshot()/report() are *flat* per-event aggregates — events from
-// different threads accumulate into the same slot, and a cross-thread total
-// has no well-defined parent, so this class never claims a hierarchy. The
-// parent/child view lives in the span tracer (obs/trace.h): when tracing is
-// enabled, every ScopedEvent begin/end is routed through the span hooks below
-// and obs::Tracer::self_time_report() renders the indented self-time tree
-// (nesting reconstructed per thread, then merged by span path).
+// snapshot()/report() are *flat* per-event aggregates: events from different
+// threads accumulate into one slot, so this class never claims a hierarchy.
+// A ScopedEvent is also the trace span (contract in obs/trace.h): each thread
+// keeps one stack of open events, and obs::Tracer rebuilds the parent/child
+// tree from the spans they write.
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "obs/trace.h"
 
 namespace landau {
 
@@ -38,10 +44,13 @@ class Profiler {
 public:
   static Profiler& instance();
 
-  /// Get-or-create the id of a named event. Ids are stable for process life.
-  int event_id(const std::string& name);
+  /// Get-or-create the id of a named event. Ids are stable for process life;
+  /// looking up a known name allocates nothing.
+  int event_id(std::string_view name);
 
-  void begin(int id);
+  /// Open an event on the calling thread. The arguments are kept only when
+  /// tracing is on (at most obs::kMaxTraceArgs; keys must be literals).
+  void begin(int id, std::initializer_list<obs::TraceArg> args = {});
   void end(int id);
 
   /// Add externally-measured time (used by the schedule simulator).
@@ -55,11 +64,9 @@ public:
   /// Snapshot of all events (sorted by accumulated time, descending).
   std::vector<EventStats> snapshot() const;
 
-  /// Accumulated seconds for one event by name (0 if never seen).
-  double seconds(const std::string& name) const;
-  std::int64_t count(const std::string& name) const;
-  std::int64_t flops(const std::string& name) const;
-  std::int64_t dram_bytes(const std::string& name) const;
+  /// Accumulated seconds / calls of one event by name (0 if never seen).
+  double seconds(std::string_view name) const;
+  std::int64_t count(std::string_view name) const;
 
   /// Zero all accumulators (ids remain valid). Used between bench phases.
   void reset();
@@ -67,44 +74,39 @@ public:
   /// Render a report table.
   std::string report() const;
 
-  /// Interned name of an event id; the pointer is stable for process life
-  /// (slots are never destroyed), so span consumers may hold it.
-  const char* name_of(int id) const;
-
-  /// Span hooks: when installed (by obs::Tracer::enable()), every
-  /// begin()/end() additionally opens/closes a span under the interned event
-  /// name. The uninstalled path is one relaxed null test per begin/end.
-  using SpanBeginHook = void (*)(const char* name);
-  using SpanEndHook = void (*)();
-  static void set_span_hooks(SpanBeginHook begin, SpanEndHook end);
-
 private:
   Profiler() = default;
 
   struct Slot {
-    std::string name;
+    std::string name; // interned: span records point at it for process life
     std::atomic<std::int64_t> count{0};
     std::atomic<std::int64_t> nanos{0};
     std::atomic<std::int64_t> flops{0};
     std::atomic<std::int64_t> dram_bytes{0};
   };
 
-  mutable std::mutex mutex_;
-  std::map<std::string, int> ids_;
-  std::vector<std::unique_ptr<Slot>> slots_;
+  static constexpr int kChunkSlots = 64;
+  static constexpr int kMaxChunks = 1024;
 
-  static std::atomic<SpanBeginHook> span_begin_hook_;
-  static std::atomic<SpanEndHook> span_end_hook_;
+  /// Unlocked: a chunk pointer is written once, before any id inside it is
+  /// handed out, and never changes afterwards.
+  Slot& slot(int id) const { return chunks_[id / kChunkSlots][id % kChunkSlots]; }
+  const Slot* find(std::string_view name) const; // caller holds mutex_
+
+  mutable std::mutex mutex_;
+  std::map<std::string, int, std::less<>> ids_;
+  int n_slots_ = 0;
+  std::array<std::unique_ptr<Slot[]>, kMaxChunks> chunks_;
 };
 
-/// RAII begin/end of one event.
+/// RAII begin/end of one event, and the one span type of the tracer.
 class ScopedEvent {
 public:
-  explicit ScopedEvent(const std::string& name)
-      : id_(Profiler::instance().event_id(name)) {
-    Profiler::instance().begin(id_);
+  explicit ScopedEvent(int id, std::initializer_list<obs::TraceArg> args = {}) : id_(id) {
+    Profiler::instance().begin(id_, args);
   }
-  explicit ScopedEvent(int id) : id_(id) { Profiler::instance().begin(id_); }
+  explicit ScopedEvent(std::string_view name, std::initializer_list<obs::TraceArg> args = {})
+      : ScopedEvent(Profiler::instance().event_id(name), args) {}
   ~ScopedEvent() { Profiler::instance().end(id_); }
   ScopedEvent(const ScopedEvent&) = delete;
   ScopedEvent& operator=(const ScopedEvent&) = delete;

@@ -113,8 +113,8 @@ TEST(ObsJson, ParseRejectsMalformedInput) {
 TEST(ObsTrace, DisabledTracerRecordsNothing) {
   TracerGuard guard;
   {
-    obs::TraceSpan outer("outer");
-    obs::TraceSpan inner("inner");
+    ScopedEvent outer("outer");
+    ScopedEvent inner("inner");
   }
   EXPECT_TRUE(obs::Tracer::instance().snapshot().empty());
 }
@@ -124,9 +124,9 @@ TEST(ObsTrace, NestingReconstructedInSelfTimeTree) {
   auto& tracer = obs::Tracer::instance();
   tracer.enable();
   {
-    obs::TraceSpan outer("outer");
-    { obs::TraceSpan inner("inner"); }
-    { obs::TraceSpan inner("inner"); }
+    ScopedEvent outer("outer");
+    { ScopedEvent inner("inner"); }
+    { ScopedEvent inner("inner"); }
   }
   tracer.disable();
 
@@ -151,8 +151,8 @@ TEST(ObsTrace, ThreadsMergeByNamePath) {
   auto& tracer = obs::Tracer::instance();
   tracer.enable();
   auto work = [] {
-    obs::TraceSpan outer("worker");
-    obs::TraceSpan inner("phase");
+    ScopedEvent outer("worker");
+    ScopedEvent inner("phase");
   };
   std::thread t1(work), t2(work);
   t1.join();
@@ -179,7 +179,7 @@ TEST(ObsTrace, ChromeTraceParsesBackWithArgs) {
   auto& tracer = obs::Tracer::instance();
   tracer.enable();
   {
-    obs::TraceSpan span("kernel", {{"grid", 80}, {"block_x", 16}, {"ai", 15.75}});
+    ScopedEvent span("kernel", {{"grid", 80}, {"block_x", 16}, {"ai", 15.75}});
   }
   tracer.disable();
 
@@ -214,6 +214,40 @@ TEST(ObsTrace, ProfilerEventsBecomeSpansThroughHooks) {
   EXPECT_EQ(root.children[0].children[0].name, "obs-test:inner");
 }
 
+TEST(ObsTrace, SpanWrittenOnlyWhenBegunWhileTracing) {
+  TracerGuard guard;
+  auto& tracer = obs::Tracer::instance();
+  auto& prof = Profiler::instance();
+  prof.reset();
+  {
+    tracer.enable();
+    ScopedEvent ev("obs-test:begun-traced");
+    tracer.disable(); // still completes: exactly one span
+  }
+  {
+    ScopedEvent ev("obs-test:begun-untraced");
+    tracer.enable(); // no span: tracing was off at begin
+  }
+  auto records = tracer.snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_STREQ(records[0].name, "obs-test:begun-traced");
+  {
+    ScopedEvent ev("obs-test:open-across-clear");
+    tracer.clear(); // discards completed records only
+  }
+  { ScopedEvent ev("obs-test:later"); }
+  tracer.disable();
+
+  records = tracer.snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_STREQ(records[0].name, "obs-test:open-across-clear");
+  EXPECT_STREQ(records[1].name, "obs-test:later");
+  EXPECT_EQ(records[1].depth, 0);
+  for (const char* name : {"obs-test:begun-traced", "obs-test:begun-untraced",
+                           "obs-test:open-across-clear", "obs-test:later"})
+    EXPECT_EQ(prof.count(name), 1) << name;
+}
+
 TEST(ObsTrace, RingWrapKeepsMostRecentAndCountsDrops) {
   TracerGuard guard;
   auto& tracer = obs::Tracer::instance();
@@ -221,7 +255,7 @@ TEST(ObsTrace, RingWrapKeepsMostRecentAndCountsDrops) {
   tracer.enable();
   std::thread([&] {
     // Fresh thread => fresh buffer picking up the small capacity.
-    for (int i = 0; i < 40; ++i) obs::TraceSpan span("wrap");
+    for (int i = 0; i < 40; ++i) ScopedEvent span("wrap");
   }).join();
   tracer.disable();
   EXPECT_GE(tracer.dropped(), 24);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <fstream>
+#include <string>
 #include <thread>
 
 #include "util/profiler.h"
@@ -62,6 +64,39 @@ TEST(Profiler, ReportListsActiveEvents) {
   p.add(p.event_id("test:visible"), 0.25, 2);
   const auto report = p.report();
   EXPECT_NE(report.find("test:visible"), std::string::npos);
+}
+
+// The hot path (end, add_work) reads event slots without the registry lock
+// while other threads register names; slots must never move. Under
+// LANDAU_SANITIZE=thread this is the race probe (ctest -L sanitize).
+TEST(Profiler, ConcurrentRegistrationDuringEvents) {
+  auto& p = Profiler::instance();
+  auto& tracer = obs::Tracer::instance();
+  p.reset();
+  const int id = p.event_id("test:concurrent");
+  std::atomic<bool> started{false}, done{false};
+  long loops = 0;
+  tracer.enable();
+  std::thread worker([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      {
+        ScopedEvent ev(id, {{"loop", loops}});
+        p.add_work(id, 1, 8);
+      }
+      ++loops;
+      started.store(true, std::memory_order_relaxed);
+    }
+  });
+  while (!started.load(std::memory_order_relaxed)) std::this_thread::yield();
+  for (int i = 0; i < 500; ++i) {
+    p.event_id("test:concurrent-" + std::to_string(i));
+    EXPECT_FALSE(p.snapshot().empty());
+  }
+  done.store(true, std::memory_order_relaxed);
+  worker.join();
+  tracer.disable();
+  tracer.clear();
+  EXPECT_EQ(p.count("test:concurrent"), loops);
 }
 
 TEST(TableWriter, AlignsColumnsAndRendersCaption) {

@@ -47,6 +47,29 @@ for e in events:
     assert e["ph"] == "X", f"unexpected event phase {e['ph']!r}"
 names = {e["name"] for e in events}
 assert any(n.startswith("landau:") for n in names), f"no landau:* spans in {sorted(names)[:10]}"
+# Profiler events are the spans: each Jacobian launch lies inside the
+# Jacobian event, and that inside the Landau matrix event, on one thread,
+# and both keep their arguments.
+by_name = {}
+for e in events:
+    by_name.setdefault(e["name"], []).append(e)
+def inside(inner, outer):
+    return (inner["tid"] == outer["tid"] and outer["ts"] <= inner["ts"] and
+            inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"] + 1e-3)
+def has_args(e, keys):
+    return all(k in e.get("args", {}) for k in keys)
+launches = by_name.get("landau:jacobian-cuda", [])
+kernels = by_name.get("landau:jacobian-kernel", [])
+matrices = by_name.get("landau:matrix", [])
+assert launches, "no landau:jacobian-cuda spans"
+for launch in launches:
+    assert has_args(launch, ("grid", "block_x", "block_y")), f"launch args missing: {launch}"
+    parents = [k for k in kernels if inside(launch, k)]
+    assert parents, f"landau:jacobian-cuda outside every landau:jacobian-kernel: {launch}"
+    assert any(inside(parents[0], m) for m in matrices), \
+        f"landau:jacobian-kernel outside every landau:matrix: {parents[0]}"
+for kernel in kernels:
+    assert has_args(kernel, ("species", "cells", "ip_points")), f"kernel args missing: {kernel}"
 with open(steps_path) as f:
     lines = [json.loads(line) for line in f if line.strip()]
 assert len(lines) >= 6, f"expected >= 6 step records, got {len(lines)}"
