@@ -50,6 +50,11 @@ int main(int argc, char** argv) {
   const int iterations = opts.get<int>("iterations", 60, "iterations per simulated process");
   const int blocks = opts.get<int>("blocks", 80, "elements per kernel (grid size)");
   const int steps = opts.get<int>("steps", 2, "host measurement steps (host calibration)");
+  const LandauOptions mesh = perf_mesh_options(opts, Backend::CudaSim); // host calibration
+  if (opts.help_requested()) {
+    std::printf("%s", opts.help_text().c_str());
+    return 0;
+  }
 
   PaperCalibration cuda_cal = paper_cuda_calibration();
   PaperCalibration kokkos_cal = paper_kokkos_calibration();
@@ -61,7 +66,8 @@ int main(int argc, char** argv) {
     // nominal single-core ratio of 1 (reported as-is).
     auto species = perf_species(true);
     for (Backend be : {Backend::CudaSim, Backend::KokkosSim}) {
-      auto lopts = perf_mesh_options(opts, be);
+      LandauOptions lopts = mesh;
+      lopts.backend = be;
       LandauOperator op(species, lopts);
       exec::KernelCounters counters;
       op.pack(op.maxwellian_state());
@@ -79,10 +85,6 @@ int main(int argc, char** argv) {
       else
         kokkos_cal = cal;
     }
-  }
-  if (opts.help_requested()) {
-    std::printf("%s", opts.help_text().c_str());
-    return 0;
   }
 
   const double peak_cuda = run_table("Table II: CUDA back-end, V100 node, Newton iterations / sec",

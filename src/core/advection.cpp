@@ -7,6 +7,7 @@
 namespace landau {
 
 void assemble_advection(const JacobianContext& ctx, double e_z, la::CsrMatrix& j) {
+  detail::check_pattern(ctx, j);
   if (e_z == 0.0) return;
   const auto& fes = *ctx.fes;
   const auto& tab = fes.tabulation();

@@ -1,6 +1,8 @@
 #include "core/jacobian.h"
 
+#include <algorithm>
 #include <array>
+#include <atomic>
 
 #include "exec/annotations.h"
 #include "obs/metrics.h"
@@ -28,45 +30,65 @@ LANDAU_DEVICE void assemble_element(const JacobianContext& ctx, std::size_t cell
   const bool checked = chk && chk->active();
   const auto& dm = ctx.fes->dofmap();
   const auto nodes = dm.cell_nodes(cell);
+  const auto index = ctx.fes->scatter_map(cell);
   const int nb = x.nb;
   const int nt = x.n_terms;
   LANDAU_ASSERT(coeff.size() == static_cast<std::size_t>(ctx.n_grid_species()) * nt,
                 "coefficient table is not grid species x element terms");
-  // COO sink: every (closure-expanded) value goes to the cell's next fixed
-  // slot — disjoint per cell, so no atomics are needed.
-  double* coo = ctx.coo_values ? ctx.coo_values->data() : nullptr;
-  std::size_t slot = coo ? (*ctx.coo_cell_offsets)[cell] : 0;
-  LANDAU_ASSERT(!coo || !ctx.grid_species, "COO assembly supports single-grid operators only");
   for (int k = 0; k < ctx.n_grid_species(); ++k) {
     const double* c = coeff.data() + static_cast<std::size_t>(k) * nt;
-    const std::size_t off = ctx.block_offset(ctx.grid_species_at(k));
+    const std::size_t off = ctx.value_offset(ctx.grid_species_at(k));
+    double* block = j.values().data() + off;
+    std::size_t slot = 0;
     for (int a = 0; a < nb; ++a) {
       const auto ca = dm.closure(nodes[static_cast<std::size_t>(a)]);
       for (int b = 0; b < nb; ++b) {
+        const auto cb = dm.closure(nodes[static_cast<std::size_t>(b)]);
         double v = c[0] * x.at(0, a, b);
         for (int t = 1; t < nt; ++t) v += c[t] * x.at(t, a, b);
-        // CSR sparsity skip (bitwise compare intended); COO fills every slot.
-        if (!coo && fp::exact_eq(v, 0.0)) continue;
-        const auto cb = dm.closure(nodes[static_cast<std::size_t>(b)]);
-        for (const auto& [di, wi] : ca)
-          for (const auto& [dj, wj] : cb) {
-            const double contrib = wi * wj * v;
-            if (coo) {
-              if (checked) chk->note(slot, Kind::Write);
-              coo[slot++] = contrib;
-              continue;
-            }
-            const std::size_t gi = off + static_cast<std::size_t>(di);
-            const std::size_t gj = off + static_cast<std::size_t>(dj);
+        // Sparsity skip (bitwise compare intended): the entry's slots are
+        // passed over.
+        if (fp::exact_eq(v, 0.0)) {
+          slot += ca.size() * cb.size();
+          continue;
+        }
+        for (const fem::DofWeight& p : ca)
+          for (const fem::DofWeight& q : cb) {
+            const double contrib = p.weight * q.weight * v;
+            const std::size_t e = index[slot++];
             if (ctx.atomic_assembly)
-              j.add_atomic(gi, gj, contrib);
+              std::atomic_ref<double>(block[e]).fetch_add(contrib, std::memory_order_relaxed);
             else
-              j.add(gi, gj, contrib);
-            if (checked)
-              chk->note(j.entry_index(gi, gj), ctx.atomic_assembly ? Kind::Atomic : Kind::Write);
+              block[e] += contrib;
+            if (checked) chk->note(off + e, ctx.atomic_assembly ? Kind::Atomic : Kind::Write);
           }
       }
     }
+  }
+}
+
+void check_pattern(const JacobianContext& ctx, const la::CsrMatrix& j) {
+  const la::CsrMatrix& block = ctx.fes->block_pattern();
+  const auto brow = block.row_offsets();
+  const auto rows = j.row_offsets();
+  if (!ctx.value_offsets) {
+    const auto ns = static_cast<std::size_t>(ctx.species->size());
+    LANDAU_ASSERT(j.rows() == ns * block.rows() && j.nnz() == ns * block.nnz(),
+                  "matrix is not " << ns << " blocks of the grid's pattern");
+  }
+  for (int k = 0; k < ctx.n_grid_species(); ++k) {
+    const int s = ctx.grid_species_at(k);
+    // Row offsets increase by at least one (every row holds its diagonal),
+    // so the block's first row is the one whose offset is the block's first
+    // value.
+    const auto off = static_cast<std::int32_t>(ctx.value_offset(s));
+    const auto first = std::lower_bound(rows.begin(), rows.end(), off);
+    const bool fits = rows.end() - first >= std::ssize(brow) &&
+                      std::equal(brow.begin(), brow.end(), first,
+                                 [off](std::int32_t b, std::int32_t r) { return r == off + b; });
+    LANDAU_ASSERT(fits, "species " << s
+                                   << " block does not have the grid's pattern: assemble into "
+                                      "the operator's new_matrix()");
   }
 }
 
@@ -84,9 +106,7 @@ void assemble_landau_jacobian(Backend backend, exec::ThreadPool& pool,
                               exec::KernelCounters* counters) {
   LANDAU_ASSERT(ctx.fes && ctx.species && ctx.ip, "JacobianContext not initialized");
   LANDAU_ASSERT(ctx.ip->n_species == ctx.species->size(), "IP data species count mismatch");
-  if (!ctx.species_offsets)
-    LANDAU_ASSERT(j.rows() == ctx.n_free() * static_cast<std::size_t>(ctx.species->size()),
-                  "Jacobian size mismatch");
+  detail::check_pattern(ctx, j);
   ScopedEvent ev("landau:jacobian-kernel", {{"species", ctx.species->size()},
                                             {"cells", ctx.fes->n_cells()},
                                             {"ip_points", ctx.ip->n}});
@@ -103,52 +123,12 @@ void assemble_landau_jacobian(Backend backend, exec::ThreadPool& pool,
   }
 }
 
-CooJacobianAssembler::CooJacobianAssembler(const fem::FESpace& fes, int n_species) {
-  const auto& dm = fes.dofmap();
-  const std::size_t nf = dm.n_free();
-  const int nb = fes.tabulation().n_basis();
-  std::vector<std::int32_t> ci, cj;
-  cell_offsets_.resize(fes.n_cells());
-  // Coordinate order must match the COO branch of assemble_element exactly.
-  for (std::size_t cell = 0; cell < fes.n_cells(); ++cell) {
-    cell_offsets_[cell] = ci.size();
-    const auto nodes = dm.cell_nodes(cell);
-    for (int s = 0; s < n_species; ++s) {
-      const std::size_t off = static_cast<std::size_t>(s) * nf;
-      for (int a = 0; a < nb; ++a) {
-        const auto ca = dm.closure(nodes[static_cast<std::size_t>(a)]);
-        for (int b = 0; b < nb; ++b) {
-          const auto cb = dm.closure(nodes[static_cast<std::size_t>(b)]);
-          for (const auto& [di, wi] : ca) {
-            (void)wi;
-            for (const auto& [dj, wj] : cb) {
-              (void)wj;
-              ci.push_back(static_cast<std::int32_t>(off + static_cast<std::size_t>(di)));
-              cj.push_back(static_cast<std::int32_t>(off + static_cast<std::size_t>(dj)));
-            }
-          }
-        }
-      }
-    }
-  }
-  values_.assign(ci.size(), 0.0);
-  const std::size_t n = nf * static_cast<std::size_t>(n_species);
-  coo_ = std::make_unique<la::CooAssembler>(n, n, std::move(ci), std::move(cj));
-}
-
-void CooJacobianAssembler::assemble(Backend backend, exec::ThreadPool& pool, JacobianContext ctx,
-                                    exec::KernelCounters* counters) {
-  ctx.coo_values = &values_;
-  ctx.coo_cell_offsets = &cell_offsets_;
-  assemble_landau_jacobian(backend, pool, ctx, coo_->matrix(), counters);
-  coo_->assemble(values_);
-}
-
 void assemble_mass_kernel(exec::ThreadPool& pool, const JacobianContext& ctx, double shift,
                           la::CsrMatrix& j, exec::KernelCounters* counters) {
   // The mass kernel replaces all of Algorithm 1 with
   // C <- Transform&Assemble(w[gip]*s, 0, 0, B, 0): pure FE + sparse assembly,
   // the memory-bound contrast case of the paper's roofline study (Table IV).
+  detail::check_pattern(ctx, j);
   ScopedEvent ev("landau:mass-kernel", {{"species", ctx.species->size()},
                                         {"cells", ctx.fes->n_cells()},
                                         {"ip_points", ctx.ip->n}});
@@ -165,9 +145,7 @@ void assemble_mass_kernel(exec::ThreadPool& pool, const JacobianContext& ctx, do
   // the value array as the concurrently-assembled output.
   check::KernelScope chk("landau:mass-kernel");
   auto wref = chk.in(std::span<const double>(ctx.ip->w), "ip.w");
-  auto oref = ctx.coo_values
-                  ? LANDAU_CROSS_BLOCK(chk.out(std::span<double>(*ctx.coo_values), "coo.values"))
-                  : LANDAU_CROSS_BLOCK(chk.out(j.values(), "csr.values"));
+  auto oref = LANDAU_CROSS_BLOCK(chk.out(j.values(), "csr.values"));
 
   check::run_grid(pool, fes.n_cells(), &chk, counters, LANDAU_KERNEL [&](std::size_t cell) {
     exec::CounterScope scope(counters);

@@ -12,13 +12,17 @@
 //                         parallel_reduce on a (G_K, G_D) reducer object.
 //
 // All three must produce identical matrices to roundoff; a test asserts it.
+// They, the mass kernel and the advection term share one scatter,
+// detail::assemble_element, which adds each closure-expanded element entry
+// at a value index fixed once per grid (fem::FESpace::scatter_map, the COO
+// coordinate list of §III-F) plus the species block's value offset, so no
+// entry is looked up by (row, column) during assembly.
 //
 // The assembled matrix C is the weak-form collision operator *linearized
 // about the packed state* (D and K frozen): M df/dt = C(f) f, which is both
 // the quasi-Newton Jacobian contribution and — applied to f — the exact
 // nonlinear residual of the collision term.
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -45,22 +49,16 @@ struct JacobianContext {
   const IPData* ip = nullptr;
   bool atomic_assembly = true; // GPU back-ends use atomicAdd (§III-F)
 
-  // Optional COO sink (§III-F's second assembly interface): when set,
-  // assemble_element streams element values into this buffer — one fixed
-  // slot per (cell, species, test, trial, closure-pair) — instead of
-  // scattering into the CSR matrix; a CooAssembler then compresses them.
-  std::vector<double>* coo_values = nullptr;
-  const std::vector<std::size_t>* coo_cell_offsets = nullptr;
-
   // Multi-grid support (§III-H): this context's FE space is one grid of a
   // LandauOperator. Its cells' integration points start at ip_offset in
   // the concatenated IP arrays; only grid_species have dofs on this grid
   // (others contribute to the inner integral via the IP data, but the
-  // kernels assemble blocks only for grid_species); species dof blocks
-  // start at species_offsets[s].
+  // kernels assemble blocks only for grid_species). Every species block
+  // carries its grid's fes->block_pattern(), and species s's values start
+  // at value_offsets[s] in the matrix.
   std::size_t ip_offset = 0;
-  const std::vector<int>* grid_species = nullptr;            // nullptr: all species
-  const std::vector<std::size_t>* species_offsets = nullptr; // nullptr: s * n_free()
+  const std::vector<int>* grid_species = nullptr;           // nullptr: all species
+  const std::vector<std::size_t>* value_offsets = nullptr;  // nullptr: s * block nnz
 
   void init(const fem::FESpace& f, const SpeciesSet& s, const IPData& d) {
     fes = &f;
@@ -68,10 +66,9 @@ struct JacobianContext {
     ip = &d;
   }
 
-  std::size_t n_free() const { return fes->n_dofs(); }
-  std::size_t block_offset(int s) const {
-    return species_offsets ? (*species_offsets)[static_cast<std::size_t>(s)]
-                           : static_cast<std::size_t>(s) * n_free();
+  std::size_t value_offset(int s) const {
+    return value_offsets ? (*value_offsets)[static_cast<std::size_t>(s)]
+                         : static_cast<std::size_t>(s) * fes->block_pattern().nnz();
   }
   /// Number of species whose dofs live on this context's grid, and the
   /// global index of the k-th of them (ascending).
@@ -91,7 +88,8 @@ struct JacobianContext {
   }
 };
 
-/// Add the collision matrix C into J (J must carry the block sparsity).
+/// Add the collision matrix C into J. J must have the context's layout
+/// (detail::check_pattern); the operator's new_matrix() has it.
 void assemble_landau_jacobian(Backend backend, exec::ThreadPool& pool,
                               const JacobianContext& ctx, la::CsrMatrix& j,
                               exec::KernelCounters* counters = nullptr);
@@ -100,27 +98,6 @@ void assemble_landau_jacobian(Backend backend, exec::ThreadPool& pool,
 /// exec-model mass kernel (the paper's separately-profiled second kernel).
 void assemble_mass_kernel(exec::ThreadPool& pool, const JacobianContext& ctx, double shift,
                           la::CsrMatrix& j, exec::KernelCounters* counters = nullptr);
-
-/// COO assembly of the Landau Jacobian: the coordinate list is fixed once at
-/// construction (MatSetPreallocationCOO) and does not require the CPU
-/// first-assembly step of the traditional interface; each assemble() call
-/// runs the kernel with the COO sink and compresses (MatSetValuesCOO).
-class CooJacobianAssembler {
-public:
-  CooJacobianAssembler(const fem::FESpace& fes, int n_species);
-
-  /// Run the kernel about ctx's packed state and assemble into matrix().
-  void assemble(Backend backend, exec::ThreadPool& pool, JacobianContext ctx,
-                exec::KernelCounters* counters = nullptr);
-
-  const la::CsrMatrix& matrix() const { return coo_->matrix(); }
-  std::size_t coo_size() const { return values_.size(); }
-
-private:
-  std::unique_ptr<la::CooAssembler> coo_;
-  std::vector<std::size_t> cell_offsets_;
-  std::vector<double> values_;
-};
 
 namespace detail {
 
@@ -144,14 +121,23 @@ struct ElementMatrices {
 
 /// Scatter one cell into the global block matrix: the block of the k-th grid
 /// species receives sum_t coeff[k * n_terms + t] X_t. This is the one place
-/// species coefficients meet element matrices. When the device checker is
-/// active, `chk` is the caller's checked view of the output value array (CSR
-/// values or the COO sink) bound to the executing block, and every scattered
-/// entry is recorded as a plain or atomic device write.
+/// species coefficients meet element matrices, and the one scatter: entry
+/// wi*wj*v goes to value value_offset(s) + fes->scatter_map(cell)[slot],
+/// added atomically or plainly per ctx.atomic_assembly. When the device
+/// checker is active, `chk` is the caller's checked view of j's values bound
+/// to the executing block, and every scattered entry is recorded as a plain
+/// or atomic device write.
 LANDAU_DEVICE void assemble_element(const JacobianContext& ctx, std::size_t cell,
                                     const ElementMatrices& x, std::span<const double> coeff,
                                     la::CsrMatrix& j,
                                     const exec::check::checked_span<double>* chk = nullptr);
+
+/// A value index proves nothing about j's pattern, so every entry point
+/// checks the layout once per call: throw unless each grid species' rows of j
+/// carry the grid's block pattern from that species' value offset, and, with
+/// no value_offsets, unless j is the species blocks on the diagonal and
+/// nothing else.
+void check_pattern(const JacobianContext& ctx, const la::CsrMatrix& j);
 
 } // namespace detail
 } // namespace landau

@@ -35,8 +35,7 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
   // Not LANDAU_CROSS_BLOCK: this back-end runs cells serially
   // (concurrent_blocks=false above), so the assembly target is never
   // written concurrently and needs no atomics policy.
-  auto ref_out = ctx.coo_values ? chk.out(std::span<double>(*ctx.coo_values), "coo.values")
-                                : chk.out(j.values(), "csr.values");
+  auto ref_out = chk.out(j.values(), "csr.values");
   check::ThreadCtx tc;
   tc.session = chk.session();
   check::checked_span<const double> gr(ref_r, &tc), gz(ref_z, &tc), gw(ref_w, &tc);

@@ -61,9 +61,7 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
   // The assembly target is written concurrently by all blocks (paper
   // §III-F): stores must go through the atomic path, which landau-lint
   // enforces on direct subscript stores through views of this ref.
-  auto ref_out = ctx.coo_values
-                     ? LANDAU_CROSS_BLOCK(chk.out(std::span<double>(*ctx.coo_values), "coo.values"))
-                     : LANDAU_CROSS_BLOCK(chk.out(j.values(), "csr.values"));
+  auto ref_out = LANDAU_CROSS_BLOCK(chk.out(j.values(), "csr.values"));
 
   exec::launch(
       pool, static_cast<int>(fes.n_cells()), block,

@@ -38,9 +38,7 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
   auto ref_sdfr = chk.in(std::span<const double>(ip.sum_dfr), "ip.sum_dfr");
   auto ref_sdfz = chk.in(std::span<const double>(ip.sum_dfz), "ip.sum_dfz");
   auto ref_sf = chk.in(std::span<const double>(ip.sum_f), "ip.sum_f");
-  auto ref_out = ctx.coo_values
-                     ? LANDAU_CROSS_BLOCK(chk.out(std::span<double>(*ctx.coo_values), "coo.values"))
-                     : LANDAU_CROSS_BLOCK(chk.out(j.values(), "csr.values"));
+  auto ref_out = LANDAU_CROSS_BLOCK(chk.out(j.values(), "csr.values"));
 
   kk::parallel_for(
       pool, policy,

@@ -90,30 +90,26 @@ LandauOperator::LandauOperator(SpeciesSet species, LandauOptions opts, double cl
     ip_total_ += gb.fes->n_ips();
   }
 
-  // --- state layout: species blocks in species order -----------------------
-  species_offsets_.resize(static_cast<std::size_t>(ns));
+  // --- state layout: species blocks in species order, in the state vector
+  // and in the values of every matrix -----------------------------------------
+  std::size_t nnz = 0;
   for (int s = 0; s < ns; ++s) {
-    species_offsets_[static_cast<std::size_t>(s)] = n_total_;
+    species_offsets_.push_back(n_total_);
+    value_offsets_.push_back(nnz);
     n_total_ += n_dofs(s);
+    nnz += space_of(s).block_pattern().nnz();
   }
   LANDAU_INFO("LandauOperator: " << grids_.size() << " grid(s), " << ip_total_ << " IPs, "
                                  << n_total_ << " equations, " << ns << " species, backend "
                                  << backend_name(opts_.backend));
 
-  // Host-assembled mass matrix with the full block sparsity (its first CPU
-  // assembly fixes the pattern metadata the GPU assemblies then reuse).
+  // Host-assembled mass matrix: one per grid, copied into each species block.
   mass_ = new_matrix();
   for (const auto& g : grids_) {
-    la::CsrMatrix m1(g.fes->sparsity());
+    la::CsrMatrix m1 = g.fes->block_pattern();
     g.fes->assemble_mass(m1);
-    auto rowptr = m1.row_offsets();
-    auto colind = m1.col_indices();
-    for (int s : g.species) {
-      const std::size_t off = species_offsets_[static_cast<std::size_t>(s)];
-      for (std::size_t i = 0; i < m1.rows(); ++i)
-        for (std::int32_t k = rowptr[i]; k < rowptr[i + 1]; ++k)
-          mass_.add(off + i, off + static_cast<std::size_t>(colind[k]), m1.values()[k]);
-    }
+    for (int s : g.species)
+      std::ranges::copy(m1.values(), &mass_.values()[value_offsets_[static_cast<std::size_t>(s)]]);
   }
 }
 
@@ -150,20 +146,9 @@ la::Vec LandauOperator::project(const std::function<double(int, double, double)>
 }
 
 la::CsrMatrix LandauOperator::new_matrix() const {
-  la::SparsityPattern pattern(n_total_, n_total_);
-  for (const auto& g : grids_) {
-    for (std::size_t c = 0; c < g.fes->n_cells(); ++c) {
-      const auto dofs = g.fes->dofmap().cell_free_dofs(c);
-      for (int s : g.species) {
-        const std::size_t off = species_offsets_[static_cast<std::size_t>(s)];
-        for (auto di : dofs)
-          for (auto dj : dofs)
-            pattern.add(off + static_cast<std::size_t>(di), off + static_cast<std::size_t>(dj));
-      }
-    }
-  }
-  pattern.compress();
-  return la::CsrMatrix(pattern);
+  std::vector<const la::CsrMatrix*> blocks;
+  for (int s = 0; s < n_species(); ++s) blocks.push_back(&space_of(s).block_pattern());
+  return la::CsrMatrix::block_diagonal(blocks);
 }
 
 void LandauOperator::pack(const la::Vec& state) {
@@ -211,14 +196,18 @@ void LandauOperator::pack(const la::Vec& state) {
   }
 }
 
-JacobianContext LandauOperator::make_context(int g) const {
+JacobianContext LandauOperator::make_context(int g, const la::CsrMatrix& j) const {
+  // With these and each block's row offsets (detail::check_pattern), j has
+  // the layout of new_matrix().
+  LANDAU_ASSERT(j.rows() == n_total_ && j.nnz() == mass_.nnz(),
+                "matrix is not this operator's: assemble into its new_matrix()");
   const GridBlock& gb = grid(g);
   JacobianContext ctx;
   ctx.init(*gb.fes, species_, ip_);
   ctx.atomic_assembly = opts_.atomic_assembly;
   ctx.ip_offset = gb.ip_offset;
   ctx.grid_species = &gb.species;
-  ctx.species_offsets = &species_offsets_;
+  ctx.value_offsets = &value_offsets_;
   return ctx;
 }
 
@@ -226,7 +215,7 @@ void LandauOperator::add_collision(la::CsrMatrix& j, exec::KernelCounters* count
   LANDAU_ASSERT(ip_.n > 0, "pack() a state before assembling the collision operator");
   ScopedEvent ev("landau:matrix");
   for (int g = 0; g < n_grids(); ++g)
-    assemble_landau_jacobian(opts_.backend, *pool_, make_context(g), j, counters);
+    assemble_landau_jacobian(opts_.backend, *pool_, make_context(g, j), j, counters);
   if (robustness().paranoid)
     LANDAU_ASSERT(j.all_finite(),
                   "paranoid: non-finite entries in the assembled collision matrix");
@@ -234,14 +223,14 @@ void LandauOperator::add_collision(la::CsrMatrix& j, exec::KernelCounters* count
 
 void LandauOperator::add_advection(la::CsrMatrix& j, double e_z) const {
   ScopedEvent ev("landau:advection");
-  for (int g = 0; g < n_grids(); ++g) assemble_advection(make_context(g), e_z, j);
+  for (int g = 0; g < n_grids(); ++g) assemble_advection(make_context(g, j), e_z, j);
 }
 
 void LandauOperator::add_mass_kernel(la::CsrMatrix& j, double shift,
                                      exec::KernelCounters* counters) {
   LANDAU_ASSERT(ip_.n > 0, "pack() a state before the mass kernel (weights live in IP data)");
   for (int g = 0; g < n_grids(); ++g)
-    assemble_mass_kernel(*pool_, make_context(g), shift, j, counters);
+    assemble_mass_kernel(*pool_, make_context(g, j), shift, j, counters);
 }
 
 LandauOperator::Moments LandauOperator::moments(const la::Vec& state, int s) const {

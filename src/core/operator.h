@@ -108,11 +108,13 @@ public:
   /// Project an analytic per-species function into a full state vector.
   la::Vec project(const std::function<double(int, double, double)>& f) const;
 
-  /// A zeroed matrix with the multi-species block sparsity.
+  /// A zeroed matrix with the multi-species block sparsity: each species'
+  /// block is its grid's FESpace::block_pattern(), in species order. Only
+  /// matrices with this layout are accepted by the add_* calls.
   la::CsrMatrix new_matrix() const override;
 
-  /// The (block) cylindrical mass matrix, assembled once on the host — the
-  /// "CPU first assembly" of §III-F; kernels reuse its pattern.
+  /// The (block) cylindrical mass matrix: each grid's host-assembled mass
+  /// matrix copied into its species' blocks.
   const la::CsrMatrix& mass() const override { return mass_; }
 
   /// Pack integration-point data (SoA) from a state: the device-side inputs
@@ -150,13 +152,14 @@ public:
 private:
   const GridBlock& only_grid() const;
   const fem::FESpace& space_of(int s) const { return *grid(grid_of_species(s)).fes; }
-  JacobianContext make_context(int g) const;
+  JacobianContext make_context(int g, const la::CsrMatrix& j) const;
 
   SpeciesSet species_;
   LandauOptions opts_;
   std::vector<GridBlock> grids_;
   std::vector<int> species_grid_;
   std::vector<std::size_t> species_offsets_; // state offset per species
+  std::vector<std::size_t> value_offsets_;   // first matrix value per species
   std::size_t n_total_ = 0;
   std::size_t ip_total_ = 0;
   std::unique_ptr<exec::ThreadPool> pool_;

@@ -32,10 +32,11 @@
 //
 //   LANDAU_CROSS_BLOCK(registration)
 //     Wraps a device-checker output registration (`chk.out(...)`) whose
-//     buffer is written concurrently by multiple blocks — the COO/CSR
-//     assembly targets of §III-F. Views of such buffers may only be written
-//     through atomic adds or handed to a LANDAU_DEVICE assembly routine;
-//     a direct subscript store in a kernel body is flagged (atomics check).
+//     buffer is written concurrently by multiple blocks — the CSR value
+//     arrays the kernels scatter into (§III-F). Views of such buffers may
+//     only be written through atomic adds or handed to a LANDAU_DEVICE
+//     assembly routine; a direct subscript store in a kernel body is
+//     flagged (atomics check).
 //     Per-block-disjoint outputs (the batched band matrices, one per block)
 //     stay unwrapped and are not policed — the dynamic checker (PR 3)
 //     still validates them at runtime.

@@ -8,7 +8,24 @@
 namespace landau::fem {
 
 FESpace::FESpace(const mesh::Forest& forest, int order)
-    : forest_(&forest), tab_(order), dofmap_(forest, tab_) {}
+    : forest_(&forest), tab_(order), dofmap_(forest, tab_) {
+  // One species block's coordinate list, in the slot order the kernels'
+  // scatter walks (core/jacobian.cpp).
+  std::vector<std::int32_t> ci, cj;
+  cell_slots_.push_back(0);
+  for (std::size_t c = 0; c < n_cells(); ++c) {
+    const auto nodes = dofmap_.cell_nodes(c);
+    for (const std::int32_t a : nodes)
+      for (const std::int32_t b : nodes)
+        for (const DofWeight& i : dofmap_.closure(a))
+          for (const DofWeight& j : dofmap_.closure(b)) {
+            ci.push_back(i.dof);
+            cj.push_back(j.dof);
+          }
+    cell_slots_.push_back(ci.size());
+  }
+  scatter_ = la::CooAssembler(n_dofs(), n_dofs(), std::move(ci), std::move(cj));
+}
 
 FESpace::CellGeometry FESpace::geometry(std::size_t c) const {
   const auto& box = forest_->leaf(c).box;
@@ -55,7 +72,7 @@ la::Vec FESpace::project_l2(const std::function<double(double, double)>& f) cons
   la::Vec rhs(dofmap_.n_free());
   dofmap_.restrict_add(node_rhs, rhs.span());
 
-  la::CsrMatrix m(sparsity());
+  la::CsrMatrix m = block_pattern();
   assemble_mass(m);
   la::Vec x(dofmap_.n_free());
   la::GmresOptions opts;
@@ -118,16 +135,6 @@ double FESpace::moment(std::span<const double> free,
   for (std::size_t ip = 0; ip < n_ips(); ++ip)
     m += 2.0 * kPi * r[ip] * w[ip] * g(r[ip], z[ip]) * vals[ip];
   return m;
-}
-
-la::SparsityPattern FESpace::sparsity() const {
-  la::SparsityPattern pattern(n_dofs(), n_dofs());
-  for (std::size_t c = 0; c < n_cells(); ++c) {
-    const auto dofs = dofmap_.cell_free_dofs(c);
-    pattern.add_clique(dofs);
-  }
-  pattern.compress();
-  return pattern;
 }
 
 void FESpace::add_element_matrix(std::size_t cell, const la::DenseMatrix& ke, la::CsrMatrix& a,

@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "exec/annotations.h"
 #include "fem/dofmap.h"
@@ -66,8 +67,17 @@ public:
   double moment(std::span<const double> free,
                 const std::function<double(double, double)>& g) const;
 
-  /// Sparsity of an operator coupling free dofs within each cell.
-  la::SparsityPattern sparsity() const;
+  /// The pattern of an operator coupling free dofs within each cell, with
+  /// zero values: one species' block of every operator matrix on this grid.
+  const la::CsrMatrix& block_pattern() const { return scatter_.matrix(); }
+
+  /// The scatter map of cell c: the index into block_pattern().values() of
+  /// each closure-expanded entry of an element matrix, in slot order (test
+  /// node a, trial node b, then the pairs of closure(a) x closure(b)). Built
+  /// once, with block_pattern(), from one coordinate list (§III-F's COO).
+  std::span<const std::size_t> scatter_map(std::size_t c) const {
+    return scatter_.value_index().subspan(cell_slots_[c], cell_slots_[c + 1] - cell_slots_[c]);
+  }
 
   /// Assemble the cylindrically weighted mass matrix M_ij = (psi_i, psi_j)
   /// (reference CPU path; the exec-model mass kernel in core/ must match).
@@ -75,7 +85,8 @@ public:
 
   /// Add an element matrix (node space, nb x nb) into a global matrix,
   /// distributing constrained contributions to master dofs — the
-  /// "Transform&Assemble" interpolation step of Algorithm 1.
+  /// "Transform&Assemble" interpolation step of Algorithm 1. Each entry is
+  /// found by its (row, column): the host path and the scatter map's oracle.
   void add_element_matrix(std::size_t cell, const la::DenseMatrix& ke, la::CsrMatrix& a,
                           bool atomic = false) const;
 
@@ -83,6 +94,8 @@ private:
   const mesh::Forest* forest_;
   Tabulation tab_;
   DofMap dofmap_;
+  la::CooAssembler scatter_;           // the block's coordinate list, resolved
+  std::vector<std::size_t> cell_slots_; // first slot of each cell; n_cells + 1
 };
 
 } // namespace landau::fem

@@ -69,19 +69,6 @@ void CsrMatrix::add_values(std::span<const std::int32_t> rows,
   }
 }
 
-void CsrMatrix::add_values_atomic(std::span<const std::int32_t> rows,
-                                  std::span<const std::int32_t> cols, const DenseMatrix& block) {
-  LANDAU_ASSERT(block.rows() == rows.size() && block.cols() == cols.size(),
-                "add_values block shape mismatch");
-  for (std::size_t bi = 0; bi < rows.size(); ++bi) {
-    const std::size_t i = static_cast<std::size_t>(rows[bi]);
-    for (std::size_t bj = 0; bj < cols.size(); ++bj) {
-      std::atomic_ref<double> ref(values_[entry_index(i, static_cast<std::size_t>(cols[bj]))]);
-      ref.fetch_add(block(bi, bj), std::memory_order_relaxed);
-    }
-  }
-}
-
 void CsrMatrix::mult(const Vec& x, Vec& y) const {
   LANDAU_ASSERT(x.size() == cols_ && y.size() == rows_, "csr mult size mismatch");
   for (std::size_t i = 0; i < rows_; ++i) {
@@ -89,16 +76,6 @@ void CsrMatrix::mult(const Vec& x, Vec& y) const {
     for (std::int32_t k = rowptr_[i]; k < rowptr_[i + 1]; ++k)
       s += values_[k] * x[static_cast<std::size_t>(colind_[k])];
     y[i] = s;
-  }
-}
-
-void CsrMatrix::mult_add(const Vec& x, Vec& y) const {
-  LANDAU_ASSERT(x.size() == cols_ && y.size() == rows_, "csr mult_add size mismatch");
-  for (std::size_t i = 0; i < rows_; ++i) {
-    double s = 0.0;
-    for (std::int32_t k = rowptr_[i]; k < rowptr_[i + 1]; ++k)
-      s += values_[k] * x[static_cast<std::size_t>(colind_[k])];
-    y[i] += s;
   }
 }
 
@@ -127,6 +104,21 @@ std::size_t CsrMatrix::bandwidth() const {
       bw = std::max(bw, i > j ? i - j : j - i);
     }
   return bw;
+}
+
+CsrMatrix CsrMatrix::block_diagonal(std::span<const CsrMatrix* const> blocks) {
+  CsrMatrix m;
+  m.rowptr_.push_back(0);
+  for (const CsrMatrix* b : blocks) {
+    const auto first_col = static_cast<std::int32_t>(m.rows_);
+    const std::int32_t first_value = m.rowptr_.back();
+    for (std::size_t i = 1; i <= b->rows_; ++i) m.rowptr_.push_back(first_value + b->rowptr_[i]);
+    for (const std::int32_t c : b->colind_) m.colind_.push_back(first_col + c);
+    m.rows_ += b->rows_;
+  }
+  m.cols_ = m.rows_;
+  m.values_.assign(m.colind_.size(), 0.0);
+  return m;
 }
 
 CooAssembler::CooAssembler(std::size_t rows, std::size_t cols, std::vector<std::int32_t> coo_i,

@@ -1,10 +1,12 @@
 #pragma once
-// Compressed sparse row matrix with the two assembly paths described in the
-// paper (§III-F):
-//  * the traditional MatSetValues path: dense element blocks added into a
-//    preallocated pattern (with an atomic variant modeling GPU assembly), and
-//  * the COO path: a fixed coordinate list set once ("preallocation"), then
-//    repeated re-assembly from a value array with a precomputed gather.
+// Compressed sparse row matrix and the COO coordinate list of paper §III-F.
+//  * CsrMatrix: a fixed pattern with mutable values. Its per-entry adds
+//    (add, add_atomic, add_values) search the row for each (i, j); they are
+//    the host path and the test oracle.
+//  * CooAssembler: a coordinate list fixed once ("preallocation"), which
+//    builds the pattern it spans and resolves every coordinate to a value
+//    index. fem::FESpace builds one per grid, and the kernels scatter
+//    through its value indices (core/jacobian.h).
 
 #include <cstddef>
 #include <cstdint>
@@ -85,19 +87,12 @@ public:
   /// MatSetValues(ADD_VALUES): add a dense block at (rows x cols).
   void add_values(std::span<const std::int32_t> rows, std::span<const std::int32_t> cols,
                   const DenseMatrix& block);
-  void add_values_atomic(std::span<const std::int32_t> rows, std::span<const std::int32_t> cols,
-                         const DenseMatrix& block);
 
   /// y = A x
   void mult(const Vec& x, Vec& y) const;
-  /// y += A x
-  void mult_add(const Vec& x, Vec& y) const;
 
   /// B = a*A + B for matrices with identical patterns (AXPY, SAME_NONZERO).
   void axpy(double a, const CsrMatrix& x);
-  void scale(double a) {
-    for (double& v : values_) v *= a;
-  }
   /// Add s to every diagonal entry (diagonal must be in the pattern).
   void shift_diagonal(double s);
 
@@ -109,6 +104,10 @@ public:
   /// No NaN/±Inf among the stored values (the paranoid-mode Jacobian audit).
   bool all_finite() const { return la::all_finite(values()); }
 
+  /// A zeroed square matrix with the blocks' patterns on its diagonal, in
+  /// order: block k's values follow block k-1's, with the same layout.
+  static CsrMatrix block_diagonal(std::span<const CsrMatrix* const> blocks);
+
 private:
   std::size_t rows_ = 0, cols_ = 0;
   std::vector<std::int32_t> rowptr_;
@@ -117,14 +116,17 @@ private:
 };
 
 /// COO assembly: the coordinate list is fixed once (the analog of PETSc's
-/// MatSetPreallocationCOO), after which assemble() scatters a value array into
-/// a CSR matrix built over the union pattern (MatSetValuesCOO).
+/// MatSetPreallocationCOO), which builds a CSR matrix over the union pattern
+/// and the value index of every coordinate; assemble() then scatters a value
+/// array into it (MatSetValuesCOO).
 class CooAssembler {
 public:
+  CooAssembler() = default;
   CooAssembler(std::size_t rows, std::size_t cols, std::vector<std::int32_t> coo_i,
                std::vector<std::int32_t> coo_j);
 
-  std::size_t coo_size() const { return perm_.size(); }
+  /// Index into matrix().values() of each coordinate, in list order.
+  std::span<const std::size_t> value_index() const { return perm_; }
 
   /// The CSR matrix this assembler targets (pattern only until assembled).
   const CsrMatrix& matrix() const { return mat_; }

@@ -87,8 +87,7 @@ TEST(FESpace, MaxwellianMomentsOnAdaptedMesh) {
 TEST(FESpace, MassMatrixAgainstAnalyticL2Norm) {
   auto forest = quench_like_mesh(true);
   FESpace fes(forest, 3);
-  auto pattern = fes.sparsity();
-  la::CsrMatrix m(pattern);
+  la::CsrMatrix m = fes.block_pattern();
   fes.assemble_mass(m);
   // x^T M x == \int f^2 dmu for the interpolant of a cubic f.
   auto f = [](double x, double y) { return x + 0.2 * y - 0.1 * x * y; };
@@ -114,8 +113,7 @@ TEST(FESpace, MassMatrixAgainstAnalyticL2Norm) {
 TEST(FESpace, MassMatrixSymmetricPositive) {
   auto forest = quench_like_mesh(true);
   FESpace fes(forest, 2);
-  auto pattern = fes.sparsity();
-  la::CsrMatrix m(pattern);
+  la::CsrMatrix m = fes.block_pattern();
   fes.assemble_mass(m);
   auto d = m.to_dense();
   for (std::size_t i = 0; i < d.rows(); ++i)
@@ -163,8 +161,7 @@ INSTANTIATE_TEST_SUITE_P(Orders, InterpolationOrder, ::testing::Values(1, 2, 3))
 TEST(FESpace, AtomicAssemblyMatchesSerial) {
   auto forest = quench_like_mesh(true);
   FESpace fes(forest, 2);
-  auto pattern = fes.sparsity();
-  la::CsrMatrix a(pattern), b(pattern);
+  la::CsrMatrix a = fes.block_pattern(), b = fes.block_pattern();
   const int nb = fes.tabulation().n_basis();
   la::DenseMatrix ke(static_cast<std::size_t>(nb), static_cast<std::size_t>(nb));
   for (int i = 0; i < nb; ++i)

@@ -102,8 +102,7 @@ TEST_P(ForestFuzz, ConstrainedSpaceReproducesCubics) {
 TEST_P(ForestFuzz, MassMatrixStaysSymmetricPositive) {
   auto f = random_forest(GetParam(), 3);
   fem::FESpace fes(f, 2);
-  auto pattern = fes.sparsity();
-  la::CsrMatrix m(pattern);
+  la::CsrMatrix m = fes.block_pattern();
   fes.assemble_mass(m);
   la::Vec x(fes.n_dofs()), mx(fes.n_dofs());
   std::mt19937 rng(GetParam() + 99);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/kernel_math.h"
 #include "core/operator.h"
 #include "util/special_math.h"
 
@@ -205,44 +206,113 @@ TEST(Kernels, MassKernelMatchesHostMassMatrix) {
 }
 
 TEST(Kernels, CooAssemblyMatchesTraditionalPath) {
-  // §III-F: the COO interface must produce exactly the same matrix as the
-  // MatSetValues-style path, without the CPU first-assembly step and without
-  // atomics (disjoint slots per element).
-  auto species = SpeciesSet::electron_deuterium();
-  species[1].mass = 25.0;
-  LandauOperator op(species, small_opts());
-  la::Vec f = op.project([](int s, double r, double z) {
-    return two_bump(r, z) * (s == 0 ? 1.0 : 0.7);
-  });
-  op.pack(f);
+  // §III-F: the kernels' one scatter goes through each grid's COO coordinate
+  // list, resolved to value indices once (detail::assemble_element). It must
+  // add exactly what the per-entry (row, column) lookup of the MatSetValues
+  // path adds (FESpace::add_element_matrix), hanging-node closures included,
+  // and re-assembly about a second state must match a fresh assembly.
+  LandauOperator op = electron_deuterium().op();
+  const fem::FESpace& fes = op.space();
+  const fem::DofMap& dm = fes.dofmap();
+  int hanging = 0;
+  for (std::size_t n = 0; n < dm.n_nodes(); ++n)
+    hanging += dm.is_constrained(static_cast<std::int32_t>(n)) ? 1 : 0;
+  ASSERT_GT(hanging, 0) << "the test mesh must have hanging nodes";
 
-  la::CsrMatrix direct = op.new_matrix();
-  op.add_collision(direct);
+  JacobianContext ctx;
+  ctx.init(fes, op.species(), op.ip_data());
+  const auto coeff = ctx.coefficients(detail::landau_coeffs);
+  const int nb = fes.tabulation().n_basis();
+  const auto nbs = static_cast<std::size_t>(nb);
 
+  // Two element terms per cell from the state's nodal values; the second is
+  // antisymmetric and the first vanishes where (a + b) % 3 == 0, so diagonal
+  // entries with a % 3 == 0 are zero and take the sparsity skip.
+  auto element = [&](const std::vector<double>& u, std::size_t c, detail::ElementMatrices& x) {
+    const auto nodes = dm.cell_nodes(c);
+    x.resize(2, nb);
+    for (int a = 0; a < nb; ++a)
+      for (int b = 0; b < nb; ++b) {
+        const double ua = u[static_cast<std::size_t>(nodes[static_cast<std::size_t>(a)])];
+        const double ub = u[static_cast<std::size_t>(nodes[static_cast<std::size_t>(b)])];
+        x.at(0, a, b) = (a + b) % 3 == 0 ? 0.0 : ua * ub;
+        x.at(1, a, b) = ua - ub;
+      }
+  };
+
+  la::CsrMatrix by_map = op.new_matrix();
+  EXPECT_NO_THROW(detail::check_pattern(ctx, by_map));
+  for (const la::Vec& state :
+       {op.project([](int s, double r, double z) { return two_bump(r, z) * (s == 0 ? 1.0 : 0.7); }),
+        op.maxwellian_state()}) {
+    std::vector<double> u(dm.n_nodes());
+    dm.expand(op.block(state, 0), u);
+    by_map.zero_entries();
+    std::vector<la::CsrMatrix> by_entry(static_cast<std::size_t>(op.n_species()),
+                                        fes.block_pattern());
+    detail::ElementMatrices x;
+    la::DenseMatrix ke(nbs, nbs);
+    for (std::size_t c = 0; c < fes.n_cells(); ++c) {
+      element(u, c, x);
+      detail::assemble_element(ctx, c, x, coeff, by_map);
+      for (int s = 0; s < op.n_species(); ++s) {
+        const double* cs = coeff.data() + 2 * static_cast<std::size_t>(s);
+        for (int a = 0; a < nb; ++a)
+          for (int b = 0; b < nb; ++b)
+            ke(static_cast<std::size_t>(a), static_cast<std::size_t>(b)) =
+                cs[0] * x.at(0, a, b) + cs[1] * x.at(1, a, b);
+        fes.add_element_matrix(c, ke, by_entry[static_cast<std::size_t>(s)]);
+      }
+    }
+    for (int s = 0; s < op.n_species(); ++s) {
+      const auto want = by_entry[static_cast<std::size_t>(s)].values();
+      const auto got = by_map.values().subspan(ctx.value_offset(s), want.size());
+      for (std::size_t k = 0; k < want.size(); ++k)
+        EXPECT_EQ(got[k], want[k]) << "species " << s << " value " << k;
+    }
+  }
+}
+
+TEST(Kernels, AssemblyRejectsForeignMatrix) {
+  // A scatter by value index cannot tell, entry by entry, that a matrix has
+  // another pattern, so every entry point checks the layout first.
+  const Plasma plasma = electron_deuterium();
+  LandauOperator op = plasma.op(Backend::CudaSim);
+  op.pack(op.maxwellian_state());
+  LandauOptions finer = small_opts(Backend::CudaSim);
+  finer.cells_per_thermal = 1.2;
+  const LandauOperator other(plasma.species, finer, plasma.cluster_ratio);
+  la::CsrMatrix foreign = other.new_matrix();
+  ASSERT_NE(foreign.nnz(), op.new_matrix().nnz());
+  EXPECT_THROW(op.add_collision(foreign), Error);
+  EXPECT_THROW(op.add_advection(foreign, 0.3), Error);
+  EXPECT_THROW(op.add_mass_kernel(foreign, 1.0), Error);
   exec::ThreadPool pool(2);
   JacobianContext ctx;
   ctx.init(op.space(), op.species(), op.ip_data());
-  CooJacobianAssembler coo(op.space(), op.n_species());
-  coo.assemble(Backend::CudaSim, pool, ctx);
-  const auto& m = coo.matrix();
+  EXPECT_THROW(assemble_landau_jacobian(Backend::CudaSim, pool, ctx, foreign), Error);
 
-  ASSERT_EQ(m.nnz(), direct.nnz());
-  double scale = 0.0;
-  for (std::size_t k = 0; k < direct.nnz(); ++k)
-    scale = std::max(scale, std::abs(direct.values()[k]));
-  for (std::size_t k = 0; k < direct.nnz(); ++k)
-    EXPECT_NEAR(m.values()[k], direct.values()[k], 1e-12 * scale);
+  // Same rows and nnz, other row offsets: the last entry of the first row
+  // moved to the last row, outside the first species' block.
+  const la::CsrMatrix own_pattern = op.new_matrix();
+  const auto rowptr = own_pattern.row_offsets();
+  const auto colind = own_pattern.col_indices();
+  la::SparsityPattern moved(own_pattern.rows(), own_pattern.cols());
+  for (std::size_t i = 0; i < own_pattern.rows(); ++i)
+    for (std::int32_t k = rowptr[i]; k < rowptr[i + 1]; ++k)
+      moved.add(k == rowptr[1] - 1 ? own_pattern.rows() - 1 : i,
+                static_cast<std::size_t>(colind[k]));
+  moved.compress();
+  la::CsrMatrix shifted(moved);
+  ASSERT_EQ(shifted.nnz(), own_pattern.nnz());
+  EXPECT_THROW(op.add_collision(shifted), Error);
+  EXPECT_THROW(op.add_advection(shifted, 0.3), Error);
+  EXPECT_THROW(op.add_mass_kernel(shifted, 1.0), Error);
+  EXPECT_THROW(assemble_landau_jacobian(Backend::CudaSim, pool, ctx, shifted), Error);
 
-  // Reassembly about a different state matches a fresh direct assembly.
-  la::Vec g = op.maxwellian_state();
-  op.pack(g);
-  JacobianContext ctx2;
-  ctx2.init(op.space(), op.species(), op.ip_data());
-  coo.assemble(Backend::KokkosSim, pool, ctx2);
-  la::CsrMatrix direct2 = op.new_matrix();
-  op.add_collision(direct2);
-  for (std::size_t k = 0; k < direct2.nnz(); ++k)
-    EXPECT_NEAR(coo.matrix().values()[k], direct2.values()[k], 1e-12 * scale);
+  la::CsrMatrix own = op.new_matrix();
+  EXPECT_NO_THROW(op.add_collision(own));
+  EXPECT_NO_THROW(assemble_landau_jacobian(Backend::CudaSim, pool, ctx, own));
 }
 
 TEST(Kernels, AdvectionShiftsMomentumNotDensity) {

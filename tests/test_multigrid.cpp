@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "core/kernel_math.h"
 #include "core/operator.h"
@@ -34,6 +36,25 @@ SpeciesSet two_cluster_species() {
   return SpeciesSet(
       {{.name = "e", .mass = 1.0, .charge = -1.0, .density = 1.0, .temperature = 1.0},
        {.name = "i", .mass = 36.0, .charge = 1.0, .density = 1.0, .temperature = 1.0}});
+}
+
+/// The operator pattern built entry by entry: each species' block holds the
+/// all-to-all coupling of every cell's free dofs on its grid.
+la::CsrMatrix cell_clique_matrix(const LandauOperator& op) {
+  la::SparsityPattern pattern(op.n_total(), op.n_total());
+  std::size_t off = 0;
+  for (int s = 0; s < op.n_species(); ++s) {
+    const fem::FESpace& fes = *op.grid(op.grid_of_species(s)).fes;
+    for (std::size_t c = 0; c < fes.n_cells(); ++c) {
+      const auto dofs = fes.dofmap().cell_free_dofs(c);
+      for (auto di : dofs)
+        for (auto dj : dofs)
+          pattern.add(off + static_cast<std::size_t>(di), off + static_cast<std::size_t>(dj));
+    }
+    off += op.n_dofs(s);
+  }
+  pattern.compress();
+  return la::CsrMatrix(pattern);
 }
 
 } // namespace
@@ -99,6 +120,32 @@ TEST(MultiGrid, OneClusterMatchesSingleGridBitwise) {
   one.add_collision(ja);
   clustered.add_collision(jb);
   expect_bitwise_equal(ja, jb);
+}
+
+TEST(MultiGrid, NewMatrixReplicatesGridPattern) {
+  // new_matrix() repeats each grid's block pattern at its species' offsets;
+  // mass() copies each grid's host mass matrix into its species' blocks.
+  for (const auto& [ratio, n_grids] :
+       {std::pair{std::numeric_limits<double>::infinity(), 1}, std::pair{2.0, 3}}) {
+    const LandauOperator op(SpeciesSet::tungsten_plasma(), mg_opts(), ratio);
+    ASSERT_EQ(op.n_grids(), n_grids);
+    const la::CsrMatrix m = op.new_matrix();
+    const la::CsrMatrix want = cell_clique_matrix(op);
+    EXPECT_EQ(m.rows(), want.rows());
+    EXPECT_TRUE(std::ranges::equal(m.row_offsets(), want.row_offsets())) << n_grids << " grids";
+    EXPECT_TRUE(std::ranges::equal(m.col_indices(), want.col_indices())) << n_grids << " grids";
+    std::size_t off = 0;
+    for (int s = 0; s < op.n_species(); ++s) {
+      const fem::FESpace& fes = *op.grid(op.grid_of_species(s)).fes;
+      la::CsrMatrix m1 = fes.block_pattern();
+      fes.assemble_mass(m1);
+      const auto block = op.mass().values().subspan(off, m1.nnz());
+      for (std::size_t k = 0; k < m1.nnz(); ++k)
+        EXPECT_EQ(block[k], m1.values()[k]) << "species " << s << " value " << k;
+      off += m1.nnz();
+    }
+    EXPECT_EQ(off, op.mass().nnz());
+  }
 }
 
 TEST(MultiGrid, MaxwellianMomentsPerGrid) {

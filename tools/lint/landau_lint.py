@@ -20,7 +20,7 @@ Checks (each individually toggleable with --disable/--enable):
                       (std::vector & friends) — a per-block host allocation
                       that would not compile under nvcc.
   atomics             stores into LANDAU_CROSS_BLOCK-marked global buffers
-                      (the COO/CSR assembly targets of paper §III-F) must go
+                      (the CSR assembly targets of paper §III-F) must go
                       through an atomic add path, never a raw subscript store.
   shared-bounds       provable out-of-bounds affine indexing of
                       constant-extent shared-memory tiles.
