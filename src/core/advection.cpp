@@ -7,7 +7,7 @@
 namespace landau {
 
 void assemble_advection(const JacobianContext& ctx, double e_z, la::CsrMatrix& j) {
-  detail::check_pattern(ctx, j);
+  ctx.fes->scatter().check_layout(j, ctx.matrix_rows, ctx.matrix_nnz, ctx.block_offsets);
   if (e_z == 0.0) return;
   const auto& fes = *ctx.fes;
   const auto& tab = fes.tabulation();
@@ -33,7 +33,8 @@ void assemble_advection(const JacobianContext& ctx, double e_z, la::CsrMatrix& j
         }
       }
     }
-    detail::assemble_element(ctx, cell, ae, qm_ez, j);
+    // Serial on the host: plain adds.
+    fes.scatter().add(cell, ae.x, qm_ez, ctx.block_offsets, j.values(), false);
   }
 }
 

@@ -1,8 +1,6 @@
 #include "core/jacobian.h"
 
-#include <algorithm>
 #include <array>
-#include <atomic>
 
 #include "exec/annotations.h"
 #include "obs/metrics.h"
@@ -22,76 +20,6 @@ const char* backend_name(Backend b) {
 
 namespace detail {
 
-LANDAU_DEVICE void assemble_element(const JacobianContext& ctx, std::size_t cell,
-                                    const ElementMatrices& x, std::span<const double> coeff,
-                                    la::CsrMatrix& j,
-                                    const exec::check::checked_span<double>* chk) {
-  using exec::check::Kind;
-  const bool checked = chk && chk->active();
-  const auto& dm = ctx.fes->dofmap();
-  const auto nodes = dm.cell_nodes(cell);
-  const auto index = ctx.fes->scatter_map(cell);
-  const int nb = x.nb;
-  const int nt = x.n_terms;
-  LANDAU_ASSERT(coeff.size() == static_cast<std::size_t>(ctx.n_grid_species()) * nt,
-                "coefficient table is not grid species x element terms");
-  for (int k = 0; k < ctx.n_grid_species(); ++k) {
-    const double* c = coeff.data() + static_cast<std::size_t>(k) * nt;
-    const std::size_t off = ctx.value_offset(ctx.grid_species_at(k));
-    double* block = j.values().data() + off;
-    std::size_t slot = 0;
-    for (int a = 0; a < nb; ++a) {
-      const auto ca = dm.closure(nodes[static_cast<std::size_t>(a)]);
-      for (int b = 0; b < nb; ++b) {
-        const auto cb = dm.closure(nodes[static_cast<std::size_t>(b)]);
-        double v = c[0] * x.at(0, a, b);
-        for (int t = 1; t < nt; ++t) v += c[t] * x.at(t, a, b);
-        // Sparsity skip (bitwise compare intended): the entry's slots are
-        // passed over.
-        if (fp::exact_eq(v, 0.0)) {
-          slot += ca.size() * cb.size();
-          continue;
-        }
-        for (const fem::DofWeight& p : ca)
-          for (const fem::DofWeight& q : cb) {
-            const double contrib = p.weight * q.weight * v;
-            const std::size_t e = index[slot++];
-            if (ctx.atomic_assembly)
-              std::atomic_ref<double>(block[e]).fetch_add(contrib, std::memory_order_relaxed);
-            else
-              block[e] += contrib;
-            if (checked) chk->note(off + e, ctx.atomic_assembly ? Kind::Atomic : Kind::Write);
-          }
-      }
-    }
-  }
-}
-
-void check_pattern(const JacobianContext& ctx, const la::CsrMatrix& j) {
-  const la::CsrMatrix& block = ctx.fes->block_pattern();
-  const auto brow = block.row_offsets();
-  const auto rows = j.row_offsets();
-  if (!ctx.value_offsets) {
-    const auto ns = static_cast<std::size_t>(ctx.species->size());
-    LANDAU_ASSERT(j.rows() == ns * block.rows() && j.nnz() == ns * block.nnz(),
-                  "matrix is not " << ns << " blocks of the grid's pattern");
-  }
-  for (int k = 0; k < ctx.n_grid_species(); ++k) {
-    const int s = ctx.grid_species_at(k);
-    // Row offsets increase by at least one (every row holds its diagonal),
-    // so the block's first row is the one whose offset is the block's first
-    // value.
-    const auto off = static_cast<std::int32_t>(ctx.value_offset(s));
-    const auto first = std::lower_bound(rows.begin(), rows.end(), off);
-    const bool fits = rows.end() - first >= std::ssize(brow) &&
-                      std::equal(brow.begin(), brow.end(), first,
-                                 [off](std::int32_t b, std::int32_t r) { return r == off + b; });
-    LANDAU_ASSERT(fits, "species " << s
-                                   << " block does not have the grid's pattern: assemble into "
-                                      "the operator's new_matrix()");
-  }
-}
-
 void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
                        exec::KernelCounters* counters);
 void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::CsrMatrix& j,
@@ -106,7 +34,7 @@ void assemble_landau_jacobian(Backend backend, exec::ThreadPool& pool,
                               exec::KernelCounters* counters) {
   LANDAU_ASSERT(ctx.fes && ctx.species && ctx.ip, "JacobianContext not initialized");
   LANDAU_ASSERT(ctx.ip->n_species == ctx.species->size(), "IP data species count mismatch");
-  detail::check_pattern(ctx, j);
+  ctx.fes->scatter().check_layout(j, ctx.matrix_rows, ctx.matrix_nnz, ctx.block_offsets);
   ScopedEvent ev("landau:jacobian-kernel", {{"species", ctx.species->size()},
                                             {"cells", ctx.fes->n_cells()},
                                             {"ip_points", ctx.ip->n}});
@@ -128,7 +56,7 @@ void assemble_mass_kernel(exec::ThreadPool& pool, const JacobianContext& ctx, do
   // The mass kernel replaces all of Algorithm 1 with
   // C <- Transform&Assemble(w[gip]*s, 0, 0, B, 0): pure FE + sparse assembly,
   // the memory-bound contrast case of the paper's roofline study (Table IV).
-  detail::check_pattern(ctx, j);
+  ctx.fes->scatter().check_layout(j, ctx.matrix_rows, ctx.matrix_nnz, ctx.block_offsets);
   ScopedEvent ev("landau:mass-kernel", {{"species", ctx.species->size()},
                                         {"cells", ctx.fes->n_cells()},
                                         {"ip_points", ctx.ip->n}});
@@ -169,7 +97,8 @@ void assemble_mass_kernel(exec::ThreadPool& pool, const JacobianContext& ctx, do
     // Every species block is shift * M_e.
     scope.flops(static_cast<std::int64_t>(ns) * nb * nb);
     scope.dram(static_cast<std::int64_t>(ns) * nb * nb * 8 * 2); // write + RMW traffic
-    detail::assemble_element(ctx, cell, me, coeff, j, ov.active() ? &ov : nullptr);
+    fes.scatter().add(cell, me.x, coeff, ctx.block_offsets, j.values(), ctx.atomic_assembly,
+                      ov.active() ? &ov : nullptr);
   });
   chk.finish();
   if (counters) {

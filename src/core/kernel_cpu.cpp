@@ -65,7 +65,8 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
       scope.dram(static_cast<std::int64_t>(n) * kInnerPointDoubles * 8);
       const PointCoeffs p = transform_point(g, geom.jinv[0], geom.jinv[1], gw[gi]);
       for (int a = 0; a < ns; ++a) {
-        const auto [ck, cd] = landau_coeffs((*ctx.species)[ctx.grid_species_at(a)]);
+        const int s = ctx.grid_species[static_cast<std::size_t>(a)];
+        const auto [ck, cd] = landau_coeffs((*ctx.species)[s]);
         coeffs[static_cast<std::size_t>(a * nq + i)] = {ck * p.kk_r, ck * p.kk_z, cd * p.dd00,
                                                         cd * p.dd01, cd * p.dd11};
       }
@@ -92,7 +93,8 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
     scope.flops(static_cast<std::int64_t>(ns) * nq * nb * (8 + 5 * nb) +
                 static_cast<std::int64_t>(ns) * nb * nb * (2 * ns - 1));
     scope.dram(static_cast<std::int64_t>(ns) * nb * nb * 8 * 2);
-    assemble_element(ctx, cell, ce, identity, j, gout.active() ? &gout : nullptr);
+    fes.scatter().add(cell, ce.x, identity, ctx.block_offsets, j.values(), ctx.atomic_assembly,
+                      gout.active() ? &gout : nullptr);
   }
   chk.finish();
 }

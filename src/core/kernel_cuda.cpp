@@ -169,9 +169,8 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
         scope.dram(static_cast<std::int64_t>(ns) * total * 8 * 2);
 
         // Each grid species' block ck K_e + cd D_e, with atomics (§III-F).
-        const double* cep = ce.read_all();
-        const ElementMatrices em{nb, 2, {cep, cep + ce.size()}};
-        assemble_element(ctx, cell, em, coeff, j, gout.active() ? &gout : nullptr);
+        fes.scatter().add(cell, {ce.read_all(), ce.size()}, coeff, ctx.block_offsets, j.values(),
+                          ctx.atomic_assembly, gout.active() ? &gout : nullptr);
       },
       counters, &chk, "landau:jacobian-cuda");
   chk.finish();

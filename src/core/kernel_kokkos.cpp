@@ -100,9 +100,8 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
                 static_cast<std::int64_t>(ns) * total * kElementScaleFlops);
     scope.dram(static_cast<std::int64_t>(ns) * total * 8 * 2);
 
-    const double* cep = ce.read_all();
-    const ElementMatrices em{nb, 2, {cep, cep + ce.size()}};
-    assemble_element(ctx, cell, em, coeff, j, gout.active() ? &gout : nullptr);
+    fes.scatter().add(cell, {ce.read_all(), ce.size()}, coeff, ctx.block_offsets, j.values(),
+                      ctx.atomic_assembly, gout.active() ? &gout : nullptr);
       },
       &chk, "landau:jacobian-kokkos");
   chk.finish();

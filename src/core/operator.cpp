@@ -196,18 +196,20 @@ void LandauOperator::pack(const la::Vec& state) {
   }
 }
 
-JacobianContext LandauOperator::make_context(int g, const la::CsrMatrix& j) const {
-  // With these and each block's row offsets (detail::check_pattern), j has
-  // the layout of new_matrix().
-  LANDAU_ASSERT(j.rows() == n_total_ && j.nnz() == mass_.nnz(),
-                "matrix is not this operator's: assemble into its new_matrix()");
+JacobianContext LandauOperator::make_context(int g) const {
+  // With these and each block's row offsets (ElementScatter::check_layout),
+  // a matrix has the layout of new_matrix().
   const GridBlock& gb = grid(g);
   JacobianContext ctx;
   ctx.init(*gb.fes, species_, ip_);
   ctx.atomic_assembly = opts_.atomic_assembly;
   ctx.ip_offset = gb.ip_offset;
-  ctx.grid_species = &gb.species;
-  ctx.value_offsets = &value_offsets_;
+  ctx.grid_species = gb.species;
+  ctx.block_offsets.clear();
+  for (const int s : gb.species)
+    ctx.block_offsets.push_back(value_offsets_[static_cast<std::size_t>(s)]);
+  ctx.matrix_rows = n_total_;
+  ctx.matrix_nnz = mass_.nnz();
   return ctx;
 }
 
@@ -215,7 +217,7 @@ void LandauOperator::add_collision(la::CsrMatrix& j, exec::KernelCounters* count
   LANDAU_ASSERT(ip_.n > 0, "pack() a state before assembling the collision operator");
   ScopedEvent ev("landau:matrix");
   for (int g = 0; g < n_grids(); ++g)
-    assemble_landau_jacobian(opts_.backend, *pool_, make_context(g, j), j, counters);
+    assemble_landau_jacobian(opts_.backend, *pool_, make_context(g), j, counters);
   if (robustness().paranoid)
     LANDAU_ASSERT(j.all_finite(),
                   "paranoid: non-finite entries in the assembled collision matrix");
@@ -223,14 +225,14 @@ void LandauOperator::add_collision(la::CsrMatrix& j, exec::KernelCounters* count
 
 void LandauOperator::add_advection(la::CsrMatrix& j, double e_z) const {
   ScopedEvent ev("landau:advection");
-  for (int g = 0; g < n_grids(); ++g) assemble_advection(make_context(g, j), e_z, j);
+  for (int g = 0; g < n_grids(); ++g) assemble_advection(make_context(g), e_z, j);
 }
 
 void LandauOperator::add_mass_kernel(la::CsrMatrix& j, double shift,
                                      exec::KernelCounters* counters) {
   LANDAU_ASSERT(ip_.n > 0, "pack() a state before the mass kernel (weights live in IP data)");
   for (int g = 0; g < n_grids(); ++g)
-    assemble_mass_kernel(*pool_, make_context(g, j), shift, j, counters);
+    assemble_mass_kernel(*pool_, make_context(g), shift, j, counters);
 }
 
 LandauOperator::Moments LandauOperator::moments(const la::Vec& state, int s) const {

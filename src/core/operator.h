@@ -152,7 +152,7 @@ public:
 private:
   const GridBlock& only_grid() const;
   const fem::FESpace& space_of(int s) const { return *grid(grid_of_species(s)).fes; }
-  JacobianContext make_context(int g, const la::CsrMatrix& j) const;
+  JacobianContext make_context(int g) const;
 
   SpeciesSet species_;
   LandauOptions opts_;

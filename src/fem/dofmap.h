@@ -49,6 +49,8 @@ public:
     return {cell_nodes_.data() + c * static_cast<std::size_t>(nb_),
             static_cast<std::size_t>(nb_)};
   }
+  /// Every cell's nodes, cell after cell.
+  std::span<const std::int32_t> cell_nodes() const { return cell_nodes_; }
 
   bool is_constrained(std::int32_t node) const { return free_index_[static_cast<std::size_t>(node)] < 0; }
   /// Free-dof index of an unconstrained node; -1 for constrained nodes.

@@ -1,5 +1,7 @@
 #include "fem/fespace.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "la/gmres.h"
@@ -8,24 +10,9 @@
 namespace landau::fem {
 
 FESpace::FESpace(const mesh::Forest& forest, int order)
-    : forest_(&forest), tab_(order), dofmap_(forest, tab_) {
-  // One species block's coordinate list, in the slot order the kernels'
-  // scatter walks (core/jacobian.cpp).
-  std::vector<std::int32_t> ci, cj;
-  cell_slots_.push_back(0);
-  for (std::size_t c = 0; c < n_cells(); ++c) {
-    const auto nodes = dofmap_.cell_nodes(c);
-    for (const std::int32_t a : nodes)
-      for (const std::int32_t b : nodes)
-        for (const DofWeight& i : dofmap_.closure(a))
-          for (const DofWeight& j : dofmap_.closure(b)) {
-            ci.push_back(i.dof);
-            cj.push_back(j.dof);
-          }
-    cell_slots_.push_back(ci.size());
-  }
-  scatter_ = la::CooAssembler(n_dofs(), n_dofs(), std::move(ci), std::move(cj));
-}
+    : forest_(&forest), tab_(order), dofmap_(forest, tab_),
+      scatter_(dofmap_.n_free(), tab_.n_basis(), dofmap_.cell_nodes(),
+               [this](std::int32_t node) { return dofmap_.closure(node); }) {}
 
 FESpace::CellGeometry FESpace::geometry(std::size_t c) const {
   const auto& box = forest_->leaf(c).box;
@@ -137,45 +124,24 @@ double FESpace::moment(std::span<const double> free,
   return m;
 }
 
-void FESpace::add_element_matrix(std::size_t cell, const la::DenseMatrix& ke, la::CsrMatrix& a,
-                                 bool atomic) const {
-  const auto nodes = dofmap_.cell_nodes(cell);
-  const std::size_t nb = nodes.size();
-  LANDAU_ASSERT(ke.rows() == nb && ke.cols() == nb, "element matrix shape mismatch");
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    const auto ci = dofmap_.closure(nodes[bi]);
-    for (std::size_t bj = 0; bj < nb; ++bj) {
-      const double v = ke(bi, bj);
-      if (v == 0.0) continue;
-      const auto cj = dofmap_.closure(nodes[bj]);
-      for (const auto& [di, wi] : ci)
-        for (const auto& [dj, wj] : cj) {
-          const double contrib = wi * wj * v;
-          if (atomic)
-            a.add_atomic(static_cast<std::size_t>(di), static_cast<std::size_t>(dj), contrib);
-          else
-            a.add(static_cast<std::size_t>(di), static_cast<std::size_t>(dj), contrib);
-        }
-    }
-  }
-}
-
 void FESpace::assemble_mass(la::CsrMatrix& m) const {
   const int nq = tab_.n_quad();
   const int nb = tab_.n_basis();
-  la::DenseMatrix ke(static_cast<std::size_t>(nb), static_cast<std::size_t>(nb));
+  // One block at value 0, with coefficient 1.
+  const std::array<std::size_t, 1> offset{0};
+  const std::array<double, 1> one{1.0};
+  std::vector<double> ke(static_cast<std::size_t>(nb) * static_cast<std::size_t>(nb));
   for (std::size_t c = 0; c < n_cells(); ++c) {
     const auto geom = geometry(c);
-    ke.zero();
+    std::ranges::fill(ke, 0.0);
     for (int q = 0; q < nq; ++q) {
       const double r = geom.x0 + 0.5 * geom.dx * (tab_.qx(q) + 1.0);
       const double wq = 2.0 * kPi * r * tab_.qw(q) * geom.detj;
       for (int bi = 0; bi < nb; ++bi)
         for (int bj = 0; bj < nb; ++bj)
-          ke(static_cast<std::size_t>(bi), static_cast<std::size_t>(bj)) +=
-              wq * tab_.B(q, bi) * tab_.B(q, bj);
+          ke[static_cast<std::size_t>(bi * nb + bj)] += wq * tab_.B(q, bi) * tab_.B(q, bj);
     }
-    add_element_matrix(c, ke, m);
+    scatter_.add(c, ke, one, offset, m.values(), false);
   }
 }
 

@@ -16,6 +16,7 @@
 
 #include "exec/annotations.h"
 #include "fem/dofmap.h"
+#include "fem/element_scatter.h"
 #include "fem/tabulation.h"
 #include "la/csr.h"
 #include "la/vec.h"
@@ -67,35 +68,21 @@ public:
   double moment(std::span<const double> free,
                 const std::function<double(double, double)>& g) const;
 
-  /// The pattern of an operator coupling free dofs within each cell, with
-  /// zero values: one species' block of every operator matrix on this grid.
-  const la::CsrMatrix& block_pattern() const { return scatter_.matrix(); }
-
-  /// The scatter map of cell c: the index into block_pattern().values() of
-  /// each closure-expanded entry of an element matrix, in slot order (test
-  /// node a, trial node b, then the pairs of closure(a) x closure(b)). Built
-  /// once, with block_pattern(), from one coordinate list (§III-F's COO).
-  std::span<const std::size_t> scatter_map(std::size_t c) const {
-    return scatter_.value_index().subspan(cell_slots_[c], cell_slots_[c + 1] - cell_slots_[c]);
-  }
+  /// The grid's element scatter over the hanging-node closures (Algorithm 1's
+  /// "Transform&Assemble" interpolation to master dofs).
+  const ElementScatter& scatter() const { return scatter_; }
+  /// One species' block of every operator matrix on this grid, zeroed.
+  const la::CsrMatrix& block_pattern() const { return scatter_.block_pattern(); }
 
   /// Assemble the cylindrically weighted mass matrix M_ij = (psi_i, psi_j)
   /// (reference CPU path; the exec-model mass kernel in core/ must match).
   void assemble_mass(la::CsrMatrix& m) const;
 
-  /// Add an element matrix (node space, nb x nb) into a global matrix,
-  /// distributing constrained contributions to master dofs — the
-  /// "Transform&Assemble" interpolation step of Algorithm 1. Each entry is
-  /// found by its (row, column): the host path and the scatter map's oracle.
-  void add_element_matrix(std::size_t cell, const la::DenseMatrix& ke, la::CsrMatrix& a,
-                          bool atomic = false) const;
-
 private:
   const mesh::Forest* forest_;
   Tabulation tab_;
   DofMap dofmap_;
-  la::CooAssembler scatter_;           // the block's coordinate list, resolved
-  std::vector<std::size_t> cell_slots_; // first slot of each cell; n_cells + 1
+  ElementScatter scatter_;
 };
 
 } // namespace landau::fem

@@ -2,11 +2,11 @@
 // Compressed sparse row matrix and the COO coordinate list of paper §III-F.
 //  * CsrMatrix: a fixed pattern with mutable values. Its per-entry adds
 //    (add, add_atomic, add_values) search the row for each (i, j); they are
-//    the host path and the test oracle.
+//    the test oracle.
 //  * CooAssembler: a coordinate list fixed once ("preallocation"), which
 //    builds the pattern it spans and resolves every coordinate to a value
-//    index. fem::FESpace builds one per grid, and the kernels scatter
-//    through its value indices (core/jacobian.h).
+//    index. Each grid's fem::ElementScatter holds one and adds through its
+//    value indices.
 
 #include <cstddef>
 #include <cstdint>

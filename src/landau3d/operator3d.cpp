@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/kernel_math.h"
 #include "exec/annotations.h"
-
 #include "exec/cuda_sim.h"
 #include "util/logging.h"
 #include "util/profiler.h"
@@ -25,84 +25,98 @@ struct Accum3 {
   }
 };
 
-/// One (i, j) contribution: the plain Landau tensor of eq. (3).
-LANDAU_DEVICE inline void inner_point3(const double vi[3], double xj, double yj, double zj, double wj,
-                         const double* f_j, const double* dfx_j, const double* dfy_j,
-                         const double* dfz_j, std::size_t stride, int ns, const double* q2,
-                         const double* q2m, Accum3* acc) {
-  const double ux = vi[0] - xj, uy = vi[1] - yj, uz = vi[2] - zj;
-  const double n2 = ux * ux + uy * uy + uz * uz;
-  if (n2 <= 1e-28) return; // integrable diagonal, contributes zero
-  const double inv3 = 1.0 / (n2 * std::sqrt(n2));
+/// Source points of the inner integral, from one point on: IPData3's
+/// coordinates, weights and species sums.
+struct Source3 {
+  const double *x, *y, *z, *w, *sum_dfx, *sum_dfy, *sum_dfz, *sum_f;
+};
 
-  double tkx = 0, tky = 0, tkz = 0, td = 0;
-  for (int b = 0; b < ns; ++b) {
-    const std::size_t off = static_cast<std::size_t>(b) * stride;
-    tkx += q2m[b] * dfx_j[off];
-    tky += q2m[b] * dfy_j[off];
-    tkz += q2m[b] * dfz_j[off];
-    td += q2[b] * f_j[off];
+/// Point vi's inner integral over the first m source points: the plain
+/// Landau tensor of eq. (3) against each point's species sums.
+LANDAU_DEVICE inline Accum3 inner_integral3(const double vi[3], const Source3& src,
+                                            std::size_t m) {
+  Accum3 acc;
+  for (std::size_t j = 0; j < m; ++j) {
+    const double ux = vi[0] - src.x[j], uy = vi[1] - src.y[j], uz = vi[2] - src.z[j];
+    const double n2 = ux * ux + uy * uy + uz * uz;
+    if (n2 <= 1e-28) continue; // integrable diagonal, contributes zero
+    const double inv3 = 1.0 / (n2 * std::sqrt(n2));
+    // U . T_K with U = (n2 I - u u^T) inv3.
+    const double tkx = src.sum_dfx[j], tky = src.sum_dfy[j], tkz = src.sum_dfz[j];
+    const double udot = ux * tkx + uy * tky + uz * tkz;
+    const double wj = src.w[j];
+    acc.gk[0] += wj * inv3 * (n2 * tkx - ux * udot);
+    acc.gk[1] += wj * inv3 * (n2 * tky - uy * udot);
+    acc.gk[2] += wj * inv3 * (n2 * tkz - uz * udot);
+    const double c = wj * src.sum_f[j] * inv3;
+    acc.gd[0] += c * (n2 - ux * ux);
+    acc.gd[1] += c * (n2 - uy * uy);
+    acc.gd[2] += c * (n2 - uz * uz);
+    acc.gd[3] += c * (-ux * uy);
+    acc.gd[4] += c * (-ux * uz);
+    acc.gd[5] += c * (-uy * uz);
   }
-  // U . T_K with U = (n2 I - u u^T) inv3.
-  const double udot = ux * tkx + uy * tky + uz * tkz;
-  acc->gk[0] += wj * inv3 * (n2 * tkx - ux * udot);
-  acc->gk[1] += wj * inv3 * (n2 * tky - uy * udot);
-  acc->gk[2] += wj * inv3 * (n2 * tkz - uz * udot);
-  const double c = wj * td * inv3;
-  acc->gd[0] += c * (n2 - ux * ux);
-  acc->gd[1] += c * (n2 - uy * uy);
-  acc->gd[2] += c * (n2 - uz * uz);
-  acc->gd[3] += c * (-ux * uy);
-  acc->gd[4] += c * (-ux * uz);
-  acc->gd[5] += c * (-uy * uz);
+  return acc;
 }
 
+/// Flops per pair (tensor and accumulation); pack counts the species sums.
 constexpr int kInnerFlops3 = 60;
+/// Doubles streamed per source point: x, y, z, w and the four species sums.
+constexpr int kInnerPointDoubles3 = 8;
+
+/// The species-free element matrices of one cell (Algorithm 1 lines 13-23):
+/// map the reduced integrals to the global basis and contract them with the
+/// tabulation into K_e and D_e, stored one after the other in ce.
+LANDAU_DEVICE void element_matrices_3d(const Space3D& space, std::span<const Accum3> g_per_qp,
+                                       std::span<const double> wi_per_qp, std::span<double> ce) {
+  const auto& tab = space.tabulation();
+  const int nq = tab.n_quad();
+  const int nb = tab.n_basis();
+  const auto nbs = static_cast<std::size_t>(nb);
+  const double jinv = 2.0 / space.h();
+  LANDAU_ASSERT(ce.size() == 2 * nbs * nbs, "element-matrix buffer size mismatch");
+  std::fill(ce.begin(), ce.end(), 0.0);
+  for (int i = 0; i < nq; ++i) {
+    const Accum3& g = g_per_qp[static_cast<std::size_t>(i)];
+    const double wi = wi_per_qp[static_cast<std::size_t>(i)];
+    const double kk[3] = {jinv * g.gk[0] * wi, jinv * g.gk[1] * wi, jinv * g.gk[2] * wi};
+    const double j2 = jinv * jinv * wi;
+    const double dd[6] = {j2 * g.gd[0], j2 * g.gd[1], j2 * g.gd[2],
+                          j2 * g.gd[3], j2 * g.gd[4], j2 * g.gd[5]};
+    for (int a = 0; a < nb; ++a) {
+      const double ex = tab.E(i, a, 0), ey = tab.E(i, a, 1), ez = tab.E(i, a, 2);
+      const double dax = ex * dd[0] + ey * dd[3] + ez * dd[4];
+      const double day = ex * dd[3] + ey * dd[1] + ez * dd[5];
+      const double daz = ex * dd[4] + ey * dd[5] + ez * dd[2];
+      const double ka = ex * kk[0] + ey * kk[1] + ez * kk[2];
+      double* krow = ce.data() + static_cast<std::size_t>(a) * nbs;
+      double* drow = krow + nbs * nbs;
+      for (int b = 0; b < nb; ++b) {
+        krow[b] += ka * tab.B(i, b);
+        drow[b] += dax * tab.E(i, b, 0) + day * tab.E(i, b, 1) + daz * tab.E(i, b, 2);
+      }
+    }
+  }
+}
 
 } // namespace
-
-void IPData3::resize(int ns, std::size_t npts) {
-  n_species = ns;
-  n = npts;
-  x.assign(n, 0.0);
-  y.assign(n, 0.0);
-  z.assign(n, 0.0);
-  w.assign(n, 0.0);
-  const std::size_t total = static_cast<std::size_t>(ns) * n;
-  f.assign(total, 0.0);
-  dfx.assign(total, 0.0);
-  dfy.assign(total, 0.0);
-  dfz.assign(total, 0.0);
-}
 
 Landau3DOperator::Landau3DOperator(SpeciesSet species, Landau3DOptions opts)
     : species_(std::move(species)), opts_(opts),
       space_(opts.radius, opts.cells_per_dim, opts.order) {
   pool_ = std::make_unique<exec::ThreadPool>(opts_.n_workers);
   const int ns = species_.size();
-  q2_.resize(static_cast<std::size_t>(ns));
-  q2_over_m_.resize(static_cast<std::size_t>(ns));
-  q2_over_m2_.resize(static_cast<std::size_t>(ns));
-  for (int s = 0; s < ns; ++s) {
-    q2_[static_cast<std::size_t>(s)] = species_[s].q2();
-    q2_over_m_[static_cast<std::size_t>(s)] = species_[s].q2_over_m();
-    q2_over_m2_[static_cast<std::size_t>(s)] = species_[s].q2_over_m2();
-  }
   LANDAU_INFO("Landau3DOperator: " << space_.n_cells() << " cells, " << space_.n_dofs()
                                    << " dofs/species, " << ns << " species");
-  mass_ = new_matrix();
-  {
-    la::CsrMatrix m1(space_.sparsity());
-    space_.assemble_mass(m1);
-    auto rowptr = m1.row_offsets();
-    auto colind = m1.col_indices();
-    for (int s = 0; s < ns; ++s) {
-      const std::size_t off = static_cast<std::size_t>(s) * space_.n_dofs();
-      for (std::size_t i = 0; i < m1.rows(); ++i)
-        for (std::int32_t k = rowptr[i]; k < rowptr[i + 1]; ++k)
-          mass_.add(off + i, off + static_cast<std::size_t>(colind[k]), m1.values()[k]);
-    }
+  const la::CsrMatrix& pattern = space_.block_pattern();
+  for (int s = 0; s < ns; ++s) {
+    value_offsets_.push_back(static_cast<std::size_t>(s) * pattern.nnz());
+    for (const double c : detail::landau_coeffs(species_[s])) coeff_.push_back(c);
   }
+  mass_ = new_matrix();
+  la::CsrMatrix m1 = pattern;
+  space_.assemble_mass(m1);
+  for (const std::size_t off : value_offsets_) std::ranges::copy(m1.values(), &mass_.values()[off]);
 }
 
 std::span<double> Landau3DOperator::block(la::Vec& v, int s) const {
@@ -134,166 +148,138 @@ la::Vec Landau3DOperator::project(
 }
 
 la::CsrMatrix Landau3DOperator::new_matrix() const {
-  const std::size_t nf = space_.n_dofs();
-  la::SparsityPattern pattern(n_total(), n_total());
-  for (std::size_t c = 0; c < space_.n_cells(); ++c) {
-    const auto cd = space_.cell_dofs(c);
-    for (int s = 0; s < n_species(); ++s) {
-      const std::size_t off = static_cast<std::size_t>(s) * nf;
-      for (auto di : cd)
-        for (auto dj : cd)
-          pattern.add(off + static_cast<std::size_t>(di), off + static_cast<std::size_t>(dj));
-    }
-  }
-  pattern.compress();
-  return la::CsrMatrix(pattern);
+  const std::vector<const la::CsrMatrix*> blocks(static_cast<std::size_t>(n_species()),
+                                                 &space_.block_pattern());
+  return la::CsrMatrix::block_diagonal(blocks);
 }
 
 void Landau3DOperator::pack(const la::Vec& state) {
-  ScopedEvent ev("landau3d:pack");
+  const int event = Profiler::instance().event_id("landau3d:pack");
+  ScopedEvent ev(event);
   const int ns = n_species();
-  ip_.resize(ns, space_.n_ips());
+  const std::size_t n = space_.n_ips();
+  ip_.n = n;
+  for (auto* v : {&ip_.x, &ip_.y, &ip_.z, &ip_.w, &ip_.sum_dfx, &ip_.sum_dfy, &ip_.sum_dfz,
+                  &ip_.sum_f})
+    v->assign(n, 0.0);
   space_.ip_coordinates(ip_.x, ip_.y, ip_.z, ip_.w);
-  for (int s = 0; s < ns; ++s) {
-    const std::size_t off = static_cast<std::size_t>(s) * ip_.n;
-    la::Vec b(std::vector<double>(block(state, s).begin(), block(state, s).end()));
-    space_.eval_at_ips(b.span(), {ip_.f.data() + off, ip_.n}, {ip_.dfx.data() + off, ip_.n},
-                       {ip_.dfy.data() + off, ip_.n}, {ip_.dfz.data() + off, ip_.n});
-  }
-}
-
-namespace {
-
-/// Shared element epilogue: scale the reduced integrals per species, map to
-/// the global basis and contract with the tabulation.
-LANDAU_DEVICE void element_matrices_3d(const Space3D& space, std::span<const Accum3> g_per_qp,
-                                       std::span<const double> wi_per_qp, int ns,
-                                       const double* q2m, const double* q2m2, double nu0,
-                                       std::span<double> ce) {
-  const auto& tab = space.tabulation();
-  const int nq = tab.n_quad();
-  const int nb = tab.n_basis();
-  const double jinv = 2.0 / space.h();
-  LANDAU_ASSERT(ce.size() == static_cast<std::size_t>(ns) * nb * nb,
-                "element-matrix buffer size mismatch");
-  std::fill(ce.begin(), ce.end(), 0.0);
-  for (int a_sp = 0; a_sp < ns; ++a_sp) {
-    const double ck = nu0 * q2m[a_sp];
-    const double cd = -nu0 * q2m2[a_sp];
-    for (int i = 0; i < nq; ++i) {
-      const Accum3& g = g_per_qp[static_cast<std::size_t>(i)];
-      const double wi = wi_per_qp[static_cast<std::size_t>(i)];
-      const double kk[3] = {jinv * ck * g.gk[0] * wi, jinv * ck * g.gk[1] * wi,
-                            jinv * ck * g.gk[2] * wi};
-      const double j2 = jinv * jinv * cd * wi;
-      const double dd[6] = {j2 * g.gd[0], j2 * g.gd[1], j2 * g.gd[2],
-                            j2 * g.gd[3], j2 * g.gd[4], j2 * g.gd[5]};
-      for (int a = 0; a < nb; ++a) {
-        const double ex = tab.E(i, a, 0), ey = tab.E(i, a, 1), ez = tab.E(i, a, 2);
-        const double dax = ex * dd[0] + ey * dd[3] + ez * dd[4];
-        const double day = ex * dd[3] + ey * dd[1] + ez * dd[5];
-        const double daz = ex * dd[4] + ey * dd[5] + ez * dd[2];
-        const double ka = ex * kk[0] + ey * kk[1] + ez * kk[2];
-        double* row = ce.data() + (static_cast<std::size_t>(a_sp) * nb + a) * nb;
-        for (int b = 0; b < nb; ++b)
-          row[b] += dax * tab.E(i, b, 0) + day * tab.E(i, b, 1) + daz * tab.E(i, b, 2) +
-                    ka * tab.B(i, b);
-      }
+  // The inner integral's species sums depend only on the source point, so
+  // they are formed here once instead of in every (i, j) pair, in species
+  // order.
+  std::vector<double> f(n), dfx(n), dfy(n), dfz(n);
+  for (int b = 0; b < ns; ++b) {
+    space_.eval_at_ips(block(state, b), f, dfx, dfy, dfz);
+    const double q2 = species_[b].q2();
+    const double q2_over_m = species_[b].q2_over_m();
+    for (std::size_t j = 0; j < n; ++j) {
+      ip_.sum_dfx[j] += q2_over_m * dfx[j];
+      ip_.sum_dfy[j] += q2_over_m * dfy[j];
+      ip_.sum_dfz[j] += q2_over_m * dfz[j];
+      ip_.sum_f[j] += q2 * f[j];
     }
   }
+  Profiler::instance().add_work(event, static_cast<std::int64_t>(n) * 8 * ns,
+                                static_cast<std::int64_t>(n) * (4 * ns + 4) * 8);
 }
-
-} // namespace
 
 void Landau3DOperator::kernel_cpu(la::CsrMatrix& j, exec::KernelCounters* counters) const {
-  const auto& tab = space_.tabulation();
-  const int nq = tab.n_quad();
-  const int ns = n_species();
+  const int nq = space_.tabulation().n_quad();
+  const auto nb = static_cast<std::size_t>(space_.tabulation().n_basis());
   const std::size_t n = ip_.n;
+  const Source3 all{ip_.x.data(),       ip_.y.data(),       ip_.z.data(),
+                    ip_.w.data(),       ip_.sum_dfx.data(), ip_.sum_dfy.data(),
+                    ip_.sum_dfz.data(), ip_.sum_f.data()};
   std::vector<Accum3> g(static_cast<std::size_t>(nq));
-  std::vector<double> wi(static_cast<std::size_t>(nq));
-  std::vector<double> ce(static_cast<std::size_t>(ns) * tab.n_basis() * tab.n_basis());
+  std::vector<double> ce(2 * nb * nb);
   for (std::size_t cell = 0; cell < space_.n_cells(); ++cell) {
     exec::CounterScope scope(counters);
-    for (int i = 0; i < nq; ++i) {
-      const std::size_t gi = cell * static_cast<std::size_t>(nq) + static_cast<std::size_t>(i);
-      const double vi[3] = {ip_.x[gi], ip_.y[gi], ip_.z[gi]};
-      g[static_cast<std::size_t>(i)] = Accum3{};
-      for (std::size_t jj = 0; jj < n; ++jj)
-        inner_point3(vi, ip_.x[jj], ip_.y[jj], ip_.z[jj], ip_.w[jj], &ip_.f[jj], &ip_.dfx[jj],
-                     &ip_.dfy[jj], &ip_.dfz[jj], n, ns, q2_.data(), q2_over_m_.data(),
-                     &g[static_cast<std::size_t>(i)]);
-      wi[static_cast<std::size_t>(i)] = ip_.w[gi];
+    const std::size_t i0 = cell * static_cast<std::size_t>(nq);
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      const double vi[3] = {ip_.x[i0 + i], ip_.y[i0 + i], ip_.z[i0 + i]};
+      g[i] = inner_integral3(vi, all, n);
     }
-    scope.flops(static_cast<std::int64_t>(nq) * static_cast<std::int64_t>(n) *
-                (kInnerFlops3 + 8 * ns));
-    scope.dram(static_cast<std::int64_t>(n) * (4 + 4 * ns) * 8);
-    element_matrices_3d(space_, g, wi, ns, q2_over_m_.data(), q2_over_m2_.data(), 1.0, ce);
-    for (int s = 0; s < ns; ++s)
-      space_.add_element_matrix(
-          cell,
-          {ce.data() + static_cast<std::size_t>(s) * tab.n_basis() * tab.n_basis(),
-           static_cast<std::size_t>(tab.n_basis()) * static_cast<std::size_t>(tab.n_basis())},
-          j, static_cast<std::size_t>(s) * space_.n_dofs(), false);
+    scope.flops(static_cast<std::int64_t>(nq) * static_cast<std::int64_t>(n) * kInnerFlops3);
+    scope.dram(static_cast<std::int64_t>(n) * kInnerPointDoubles3 * 8);
+    element_matrices_3d(space_, g, {ip_.w.data() + i0, g.size()}, ce);
+    space_.scatter().add(cell, ce, coeff_, value_offsets_, j.values(), false);
   }
 }
 
 void Landau3DOperator::kernel_cuda(la::CsrMatrix& j, exec::KernelCounters* counters) const {
-  const auto& tab = space_.tabulation();
-  const int nq = tab.n_quad();
-  const int ns = n_species();
+  namespace check = exec::check;
+  const int nq = space_.tabulation().n_quad();
+  const auto nb = static_cast<std::size_t>(space_.tabulation().n_basis());
   const std::size_t n = ip_.n;
-  int lanes = 1;
-  while (2 * lanes * nq <= 256) lanes *= 2;
-  const exec::Dim3 block{lanes, nq, 1};
+  std::size_t lanes = 1;
+  while (2 * lanes * static_cast<std::size_t>(nq) <= 256) lanes *= 2;
+  const exec::Dim3 block{static_cast<int>(lanes), nq, 1};
 
-  const int nb = tab.n_basis();
+  // Device-checker scope, as in core/kernel_cuda.cpp: the packed IP arrays
+  // are inputs and the assembly target is written concurrently by all blocks.
+  check::KernelScope chk("landau3d:jacobian-cuda");
+  auto ref_x = chk.in(std::span<const double>(ip_.x), "ip.x");
+  auto ref_y = chk.in(std::span<const double>(ip_.y), "ip.y");
+  auto ref_z = chk.in(std::span<const double>(ip_.z), "ip.z");
+  auto ref_w = chk.in(std::span<const double>(ip_.w), "ip.w");
+  auto ref_sdfx = chk.in(std::span<const double>(ip_.sum_dfx), "ip.sum_dfx");
+  auto ref_sdfy = chk.in(std::span<const double>(ip_.sum_dfy), "ip.sum_dfy");
+  auto ref_sdfz = chk.in(std::span<const double>(ip_.sum_dfz), "ip.sum_dfz");
+  auto ref_sf = chk.in(std::span<const double>(ip_.sum_f), "ip.sum_f");
+  auto ref_out = LANDAU_CROSS_BLOCK(chk.out(j.values(), "csr.values"));
+
   exec::launch(
       *pool_, static_cast<int>(space_.n_cells()), block,
       LANDAU_KERNEL [&](exec::Block& blk) {
         exec::CounterScope scope(blk.counters());
         const auto cell = static_cast<std::size_t>(blk.block_idx());
+        auto gx = blk.view(ref_x);
+        auto gy = blk.view(ref_y);
+        auto gz = blk.view(ref_z);
+        auto gw = blk.view(ref_w);
+        auto gsdfx = blk.view(ref_sdfx);
+        auto gsdfy = blk.view(ref_sdfy);
+        auto gsdfz = blk.view(ref_sdfz);
+        auto gsf = blk.view(ref_sf);
+        auto gout = blk.view(ref_out);
         auto regs = blk.registers<Accum3>("inner.acc");
+        // Each x-lane integrates a contiguous share of the source points,
+        // read through one checked range per array.
         blk.threads([&](exec::ThreadIdx t) {
           const std::size_t gi =
               cell * static_cast<std::size_t>(nq) + static_cast<std::size_t>(t.y);
-          const double vi[3] = {ip_.x[gi], ip_.y[gi], ip_.z[gi]};
-          for (std::size_t jj = static_cast<std::size_t>(t.x); jj < n;
-               jj += static_cast<std::size_t>(blk.block_dim().x))
-            inner_point3(vi, ip_.x[jj], ip_.y[jj], ip_.z[jj], ip_.w[jj], &ip_.f[jj],
-                         &ip_.dfx[jj], &ip_.dfy[jj], &ip_.dfz[jj], n, ns, q2_.data(),
-                         q2_over_m_.data(), regs.rw_ptr(static_cast<std::size_t>(t.flat)));
+          const double vi[3] = {gx[gi], gy[gi], gz[gi]};
+          const std::size_t j0 = n * static_cast<std::size_t>(t.x) / lanes;
+          const std::size_t m = n * static_cast<std::size_t>(t.x + 1) / lanes - j0;
+          const Source3 share{gx.read_ptr(j0, m),    gy.read_ptr(j0, m),    gz.read_ptr(j0, m),
+                              gw.read_ptr(j0, m),    gsdfx.read_ptr(j0, m), gsdfy.read_ptr(j0, m),
+                              gsdfz.read_ptr(j0, m), gsf.read_ptr(j0, m)};
+          *regs.write_ptr(static_cast<std::size_t>(t.flat)) = inner_integral3(vi, share, m);
         });
         blk.shfl_xor_sum_x(regs);
-        scope.flops(static_cast<std::int64_t>(nq) * static_cast<std::int64_t>(n) *
-                    (kInnerFlops3 + 8 * ns));
-        scope.dram(static_cast<std::int64_t>(n) * (4 + 4 * ns) * 8);
+        scope.flops(static_cast<std::int64_t>(nq) * static_cast<std::int64_t>(n) * kInnerFlops3);
+        scope.dram(static_cast<std::int64_t>(n) * kInnerPointDoubles3 * 8);
 
         auto g = blk.shared<Accum3>(static_cast<std::size_t>(nq), "epi.g");
-        auto wi = blk.shared<double>(static_cast<std::size_t>(nq), "epi.wi");
         blk.threads([&](exec::ThreadIdx t) {
-          if (t.x == 0) {
-            g[static_cast<std::size_t>(t.y)] = regs[static_cast<std::size_t>(t.flat)];
-            wi[static_cast<std::size_t>(t.y)] =
-                ip_.w[cell * static_cast<std::size_t>(nq) + static_cast<std::size_t>(t.y)];
-          }
+          if (t.x == 0) g[static_cast<std::size_t>(t.y)] = regs[static_cast<std::size_t>(t.flat)];
         });
         blk.sync();
-        auto ce = blk.shared<double>(static_cast<std::size_t>(ns * nb * nb), "epi.ce");
-        element_matrices_3d(space_, g.raw(), wi.raw(), ns, q2_over_m_.data(),
-                            q2_over_m2_.data(), 1.0, ce.raw());
-        for (int s = 0; s < ns; ++s)
-          space_.add_element_matrix(
-              cell,
-              {ce.raw().data() + static_cast<std::size_t>(s * nb) * nb,
-               static_cast<std::size_t>(nb) * static_cast<std::size_t>(nb)},
-              j, static_cast<std::size_t>(s) * space_.n_dofs(), opts_.atomic_assembly);
+        // K_e and D_e once per cell; each species block ck K_e + cd D_e is
+        // scattered with atomics (§III-F).
+        auto ce = blk.shared<double>(2 * nb * nb, "epi.ce");
+        element_matrices_3d(space_, {g.read_all(), g.size()},
+                            {gw.read_ptr(cell * g.size(), g.size()), g.size()},
+                            {ce.write_ptr(0, ce.size()), ce.size()});
+        space_.scatter().add(cell, {ce.read_all(), ce.size()}, coeff_, value_offsets_,
+                             j.values(), true, gout.active() ? &gout : nullptr);
       },
-      counters, nullptr, "landau3d:jacobian-cuda");
+      counters, &chk, "landau3d:jacobian-cuda");
+  chk.finish();
 }
 
 void Landau3DOperator::add_collision(la::CsrMatrix& j, exec::KernelCounters* counters) {
   LANDAU_ASSERT(ip_.n > 0, "pack() a state before assembling the collision operator");
+  space_.scatter().check_layout(j, n_total(), mass_.nnz(), value_offsets_);
   ScopedEvent ev("landau3d:matrix");
   if (opts_.backend == Backend::Cpu)
     kernel_cpu(j, counters);
@@ -302,6 +288,7 @@ void Landau3DOperator::add_collision(la::CsrMatrix& j, exec::KernelCounters* cou
 }
 
 void Landau3DOperator::add_advection(la::CsrMatrix& j, double e_z) const {
+  space_.scatter().check_layout(j, n_total(), mass_.nnz(), value_offsets_);
   if (fp::exact_eq(e_z, 0.0)) return;
   const auto& tab = space_.tabulation();
   const int nq = tab.n_quad();
@@ -309,6 +296,10 @@ void Landau3DOperator::add_advection(la::CsrMatrix& j, double e_z) const {
   const double jinv = 2.0 / space_.h();
   const double hh = 0.5 * space_.h();
   const double detj = hh * hh * hh;
+  // One A_e per cell; the species enter only as (q/m) E_z, at the scatter.
+  std::vector<double> qm_ez;
+  for (int s = 0; s < n_species(); ++s)
+    qm_ez.push_back((species_[s].charge / species_[s].mass) * e_z);
   std::vector<double> ke(static_cast<std::size_t>(nb) * static_cast<std::size_t>(nb));
   for (std::size_t c = 0; c < space_.n_cells(); ++c) {
     std::fill(ke.begin(), ke.end(), 0.0);
@@ -318,13 +309,7 @@ void Landau3DOperator::add_advection(la::CsrMatrix& j, double e_z) const {
         for (int b = 0; b < nb; ++b)
           ke[static_cast<std::size_t>(a * nb + b)] += wq * tab.B(q, a) * tab.E(q, b, 2) * jinv;
     }
-    for (int s = 0; s < n_species(); ++s) {
-      const double coef = (species_[s].charge / species_[s].mass) * e_z;
-      std::vector<double> scaled(ke.size());
-      for (std::size_t k = 0; k < ke.size(); ++k) scaled[k] = coef * ke[k];
-      space_.add_element_matrix(c, scaled, j, static_cast<std::size_t>(s) * space_.n_dofs(),
-                                false);
-    }
+    space_.scatter().add(c, ke, qm_ez, value_offsets_, j.values(), false);
   }
 }
 

@@ -1,8 +1,7 @@
 #include "landau3d/space3d.h"
 
+#include <algorithm>
 #include <cmath>
-
-#include "exec/annotations.h"
 
 namespace landau::v3 {
 
@@ -93,6 +92,7 @@ Space3D::Space3D(double radius, int cells_per_dim, int order)
               const std::size_t gz = static_cast<std::size_t>(cz * k + bz);
               cell_dofs_[idx++] = static_cast<std::int32_t>((gz * npd + gy) * npd + gx);
             }
+  scatter_ = fem::ElementScatter(n_dofs_, tab_.n_basis(), cell_dofs_);
 }
 
 double Space3D::cell_origin(std::size_t c, int dim) const {
@@ -168,18 +168,14 @@ double Space3D::moment(std::span<const double> dofs,
   return m;
 }
 
-la::SparsityPattern Space3D::sparsity() const {
-  la::SparsityPattern pattern(n_dofs_, n_dofs_);
-  for (std::size_t c = 0; c < n_cells(); ++c) pattern.add_clique(cell_dofs(c));
-  pattern.compress();
-  return pattern;
-}
-
 void Space3D::assemble_mass(la::CsrMatrix& m) const {
   const int nq = tab_.n_quad();
   const int nb = tab_.n_basis();
   const double hh = 0.5 * h();
   const double detj = hh * hh * hh;
+  // One block at value 0, with coefficient 1.
+  const std::array<std::size_t, 1> offset{0};
+  const std::array<double, 1> one{1.0};
   std::vector<double> ke(static_cast<std::size_t>(nb) * static_cast<std::size_t>(nb));
   for (std::size_t c = 0; c < n_cells(); ++c) {
     std::fill(ke.begin(), ke.end(), 0.0);
@@ -189,27 +185,8 @@ void Space3D::assemble_mass(la::CsrMatrix& m) const {
         for (int b = 0; b < nb; ++b)
           ke[static_cast<std::size_t>(a * nb + b)] += wq * tab_.B(q, a) * tab_.B(q, b);
     }
-    add_element_matrix(c, ke, m, 0, false);
+    scatter_.add(c, ke, one, offset, m.values(), false);
   }
-}
-
-LANDAU_DEVICE void Space3D::add_element_matrix(std::size_t cell, std::span<const double> ke,
-                                               la::CsrMatrix& a, std::size_t block_offset,
-                                               bool atomic) const {
-  const auto cd = cell_dofs(cell);
-  const std::size_t nb = cd.size();
-  LANDAU_ASSERT(ke.size() == nb * nb, "element matrix shape mismatch");
-  for (std::size_t i = 0; i < nb; ++i)
-    for (std::size_t j = 0; j < nb; ++j) {
-      const double v = ke[i * nb + j];
-      if (fp::exact_eq(v, 0.0)) continue; // sparsity skip: bitwise compare intended
-      const std::size_t gi = block_offset + static_cast<std::size_t>(cd[i]);
-      const std::size_t gj = block_offset + static_cast<std::size_t>(cd[j]);
-      if (atomic)
-        a.add_atomic(gi, gj, v);
-      else
-        a.add(gi, gj, v);
-    }
 }
 
 } // namespace landau::v3

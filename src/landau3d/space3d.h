@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "exec/annotations.h"
+#include "fem/element_scatter.h"
 #include "fem/lagrange.h"
 #include "fem/quadrature.h"
 #include "la/csr.h"
@@ -85,12 +86,11 @@ public:
   double moment(std::span<const double> dofs,
                 const std::function<double(double, double, double)>& g) const;
 
-  la::SparsityPattern sparsity() const;
+  /// The grid's element scatter: one weight-1 slot per element entry (the
+  /// space is conforming), over one species' block pattern.
+  const fem::ElementScatter& scatter() const { return scatter_; }
+  const la::CsrMatrix& block_pattern() const { return scatter_.block_pattern(); }
   void assemble_mass(la::CsrMatrix& m) const;
-
-  /// Add an element matrix into a global (block-offset) matrix.
-  LANDAU_DEVICE void add_element_matrix(std::size_t cell, std::span<const double> ke, la::CsrMatrix& a,
-                          std::size_t block_offset, bool atomic) const;
 
 private:
   double cell_origin(std::size_t c, int dim) const;
@@ -101,6 +101,7 @@ private:
   std::size_t n_dofs_ = 0;
   std::vector<std::int32_t> cell_dofs_;
   std::vector<std::array<double, 3>> positions_;
+  fem::ElementScatter scatter_;
 };
 
 } // namespace landau::v3

@@ -14,6 +14,7 @@
 
 #include "core/operator.h"
 #include "exec/cuda_sim.h"
+#include "landau3d/operator3d.h"
 #include "quench/model.h"
 #include "solver/implicit.h"
 
@@ -342,6 +343,17 @@ TEST_F(DeviceCheck, AllBackendsAssembleCleanUnderStrict) {
     la::CsrMatrix j = op.new_matrix();
     EXPECT_NO_THROW(assemble_landau_jacobian(be, pool, ctx, j)) << backend_name(be);
   }
+  // The 3-D cuda-sim kernel (the serial 3-D reference registers nothing) on
+  // a small grid: 2 cells per dimension, Q2.
+  v3::Landau3DOptions o3;
+  o3.radius = 3.5;
+  o3.cells_per_dim = 2;
+  o3.order = 2;
+  o3.n_workers = 2;
+  v3::Landau3DOperator op3(SpeciesSet::electron_deuterium(), o3);
+  op3.pack(op3.maxwellian_state());
+  la::CsrMatrix j3 = op3.new_matrix();
+  EXPECT_NO_THROW(op3.add_collision(j3)) << "3-D cuda-sim";
   EXPECT_EQ(check::DeviceChecker::instance().total(), 0);
 }
 

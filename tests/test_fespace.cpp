@@ -159,17 +159,19 @@ TEST_P(InterpolationOrder, L2ErrorConvergesAtOrderKPlusOne) {
 INSTANTIATE_TEST_SUITE_P(Orders, InterpolationOrder, ::testing::Values(1, 2, 3));
 
 TEST(FESpace, AtomicAssemblyMatchesSerial) {
+  // The grid's scatter adds the same values with atomics as with plain adds.
   auto forest = quench_like_mesh(true);
   FESpace fes(forest, 2);
   la::CsrMatrix a = fes.block_pattern(), b = fes.block_pattern();
-  const int nb = fes.tabulation().n_basis();
-  la::DenseMatrix ke(static_cast<std::size_t>(nb), static_cast<std::size_t>(nb));
-  for (int i = 0; i < nb; ++i)
-    for (int j = 0; j < nb; ++j)
-      ke(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) = 1.0 / (1.0 + i + j);
+  const auto nb = static_cast<std::size_t>(fes.tabulation().n_basis());
+  std::vector<double> ke(nb * nb);
+  for (std::size_t i = 0; i < nb; ++i)
+    for (std::size_t j = 0; j < nb; ++j) ke[i * nb + j] = 1.0 / (1.0 + i + j);
+  const std::vector<std::size_t> offset{0};
+  const std::vector<double> one{1.0};
   for (std::size_t c = 0; c < fes.n_cells(); ++c) {
-    fes.add_element_matrix(c, ke, a, /*atomic=*/false);
-    fes.add_element_matrix(c, ke, b, /*atomic=*/true);
+    fes.scatter().add(c, ke, one, offset, a.values(), /*atomic=*/false);
+    fes.scatter().add(c, ke, one, offset, b.values(), /*atomic=*/true);
   }
   for (std::size_t k = 0; k < a.nnz(); ++k) EXPECT_DOUBLE_EQ(a.values()[k], b.values()[k]);
 }

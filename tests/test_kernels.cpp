@@ -60,6 +60,24 @@ Plasma tungsten_three_grids() {
   return {"e | D | 8 W, three grids", SpeciesSet::tungsten_plasma(), 2.0};
 }
 
+/// The per-entry path the scatter replaced (MatSetValues): each
+/// closure-expanded entry of an element matrix is found by its (row, column),
+/// distributing constrained contributions to master dofs. The scatter's
+/// oracle.
+void add_element_matrix(const fem::FESpace& fes, std::size_t cell, const la::DenseMatrix& ke,
+                        la::CsrMatrix& a) {
+  const fem::DofMap& dm = fes.dofmap();
+  const auto nodes = dm.cell_nodes(cell);
+  for (std::size_t bi = 0; bi < nodes.size(); ++bi)
+    for (std::size_t bj = 0; bj < nodes.size(); ++bj) {
+      const double v = ke(bi, bj);
+      if (v == 0.0) continue;
+      for (const auto& [di, wi] : dm.closure(nodes[bi]))
+        for (const auto& [dj, wj] : dm.closure(nodes[bj]))
+          a.add(static_cast<std::size_t>(di), static_cast<std::size_t>(dj), wi * wj * v);
+    }
+}
+
 /// First row of species s's block in the state vector.
 std::size_t block_offset(const LandauOperator& op, int s) {
   std::size_t off = 0;
@@ -207,10 +225,10 @@ TEST(Kernels, MassKernelMatchesHostMassMatrix) {
 
 TEST(Kernels, CooAssemblyMatchesTraditionalPath) {
   // §III-F: the kernels' one scatter goes through each grid's COO coordinate
-  // list, resolved to value indices once (detail::assemble_element). It must
-  // add exactly what the per-entry (row, column) lookup of the MatSetValues
-  // path adds (FESpace::add_element_matrix), hanging-node closures included,
-  // and re-assembly about a second state must match a fresh assembly.
+  // list, resolved to value indices once (fem::ElementScatter). It must add
+  // exactly what the per-entry (row, column) lookup of the MatSetValues path
+  // adds (add_element_matrix above), hanging-node closures included, and
+  // re-assembly about a second state must match a fresh assembly.
   LandauOperator op = electron_deuterium().op();
   const fem::FESpace& fes = op.space();
   const fem::DofMap& dm = fes.dofmap();
@@ -241,7 +259,9 @@ TEST(Kernels, CooAssemblyMatchesTraditionalPath) {
   };
 
   la::CsrMatrix by_map = op.new_matrix();
-  EXPECT_NO_THROW(detail::check_pattern(ctx, by_map));
+  EXPECT_NO_THROW(
+      fes.scatter().check_layout(by_map, ctx.matrix_rows, ctx.matrix_nnz, ctx.block_offsets));
+  const auto& offsets = ctx.block_offsets;
   for (const la::Vec& state :
        {op.project([](int s, double r, double z) { return two_bump(r, z) * (s == 0 ? 1.0 : 0.7); }),
         op.maxwellian_state()}) {
@@ -254,19 +274,19 @@ TEST(Kernels, CooAssemblyMatchesTraditionalPath) {
     la::DenseMatrix ke(nbs, nbs);
     for (std::size_t c = 0; c < fes.n_cells(); ++c) {
       element(u, c, x);
-      detail::assemble_element(ctx, c, x, coeff, by_map);
+      fes.scatter().add(c, x.x, coeff, offsets, by_map.values(), false);
       for (int s = 0; s < op.n_species(); ++s) {
         const double* cs = coeff.data() + 2 * static_cast<std::size_t>(s);
         for (int a = 0; a < nb; ++a)
           for (int b = 0; b < nb; ++b)
             ke(static_cast<std::size_t>(a), static_cast<std::size_t>(b)) =
                 cs[0] * x.at(0, a, b) + cs[1] * x.at(1, a, b);
-        fes.add_element_matrix(c, ke, by_entry[static_cast<std::size_t>(s)]);
+        add_element_matrix(fes, c, ke, by_entry[static_cast<std::size_t>(s)]);
       }
     }
     for (int s = 0; s < op.n_species(); ++s) {
       const auto want = by_entry[static_cast<std::size_t>(s)].values();
-      const auto got = by_map.values().subspan(ctx.value_offset(s), want.size());
+      const auto got = by_map.values().subspan(offsets[static_cast<std::size_t>(s)], want.size());
       for (std::size_t k = 0; k < want.size(); ++k)
         EXPECT_EQ(got[k], want[k]) << "species " << s << " value " << k;
     }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "landau3d/operator3d.h"
@@ -22,6 +23,12 @@ namespace {
 SpeciesSet electron_only() {
   return SpeciesSet(
       {{.name = "e", .mass = 1.0, .charge = -1.0, .density = 1.0, .temperature = 2.5}});
+}
+
+SpeciesSet two_species() {
+  return SpeciesSet(
+      {{.name = "e", .mass = 1.0, .charge = -1.0, .density = 1.0, .temperature = 2.5},
+       {.name = "i", .mass = 2.0, .charge = 1.0, .density = 1.0, .temperature = 2.5}});
 }
 
 Landau3DOptions small3d(Backend be = Backend::CudaSim) {
@@ -72,7 +79,7 @@ TEST(Space3D, EvalReproducesTriquadratic) {
 
 TEST(Space3D, MassMatrixIntegratesL2Norm) {
   Space3D space(1.5, 2, 2);
-  la::CsrMatrix m(space.sparsity());
+  la::CsrMatrix m = space.block_pattern();
   space.assemble_mass(m);
   auto f = [](double x, double y, double z) { return 1.0 + x - 0.5 * y * z; };
   la::Vec dofs = space.interpolate(f);
@@ -90,6 +97,48 @@ TEST(Space3D, MassMatrixIntegratesL2Norm) {
         exact += f(x, y, z) * f(x, y, z) * std::pow(3.0 / nn, 3);
       }
   EXPECT_NEAR(dofs.dot(mx), exact, 2e-3 * exact);
+}
+
+TEST(Space3D, CooAssemblyMatchesTraditionalPath) {
+  // The 3-D grid scatters through the 2-D kernels' fem::ElementScatter, with
+  // one weight-1 slot per element entry. It must add exactly what per-entry
+  // (row, column) adds over Space3D::cell_dofs add, for two species blocks
+  // and two element terms.
+  const Space3D space(1.5, 2, 2);
+  const auto nb = static_cast<std::size_t>(space.tabulation().n_basis());
+  const la::CsrMatrix& pattern = space.block_pattern();
+  const std::vector<const la::CsrMatrix*> blocks{&pattern, &pattern};
+  const std::vector<std::size_t> offsets{0, pattern.nnz()};
+  const std::vector<double> coeff{0.5, -1.25, 3.0, 0.125}; // [species][term]
+  la::CsrMatrix by_map = la::CsrMatrix::block_diagonal(blocks);
+  std::vector<la::CsrMatrix> by_entry(2, pattern);
+  const la::Vec u = space.interpolate([](double x, double y, double z) { return 1 + x - y * z; });
+  // The first term vanishes where (a + b) % 3 == 0, so diagonal entries with
+  // a % 3 == 0 are zero and take the sparsity skip; the second is
+  // antisymmetric.
+  std::vector<double> x(2 * nb * nb);
+  for (std::size_t c = 0; c < space.n_cells(); ++c) {
+    const auto dofs = space.cell_dofs(c);
+    for (std::size_t a = 0; a < nb; ++a)
+      for (std::size_t b = 0; b < nb; ++b) {
+        const double ua = u[static_cast<std::size_t>(dofs[a])];
+        const double ub = u[static_cast<std::size_t>(dofs[b])];
+        x[a * nb + b] = (a + b) % 3 == 0 ? 0.0 : ua * ub;
+        x[nb * nb + a * nb + b] = ua - ub;
+      }
+    space.scatter().add(c, x, coeff, offsets, by_map.values(), false);
+    for (std::size_t s = 0; s < 2; ++s)
+      for (std::size_t a = 0; a < nb; ++a)
+        for (std::size_t b = 0; b < nb; ++b)
+          by_entry[s].add(static_cast<std::size_t>(dofs[a]), static_cast<std::size_t>(dofs[b]),
+                          coeff[2 * s] * x[a * nb + b] + coeff[2 * s + 1] * x[nb * nb + a * nb + b]);
+  }
+  for (std::size_t s = 0; s < 2; ++s) {
+    const auto want = by_entry[s].values();
+    const auto got = by_map.values().subspan(offsets[s], want.size());
+    for (std::size_t k = 0; k < want.size(); ++k)
+      EXPECT_EQ(got[k], want[k]) << "species " << s << " value " << k;
+  }
 }
 
 TEST(Landau3D, MaxwellianMoments) {
@@ -184,10 +233,7 @@ TEST(Landau3D, IsotropizationIn3D) {
 }
 
 TEST(Landau3D, TwoSpeciesMomentumExchange) {
-  SpeciesSet sp({{.name = "e", .mass = 1.0, .charge = -1.0, .density = 1.0, .temperature = 2.5},
-                 {.name = "i", .mass = 2.0, .charge = 1.0, .density = 1.0, .temperature = 2.5}});
-  auto opts = small3d();
-  Landau3DOperator op(sp, opts);
+  Landau3DOperator op(two_species(), small3d());
   NewtonOptions loose;
   loose.rtol = 1e-7;
   ImplicitIntegrator integrator(op, loose);
@@ -215,4 +261,71 @@ TEST(Landau3D, AdvectionAcceleratesAlongZ) {
   EXPECT_GT(std::abs(zf.dot(af)), 1e-8); // momentum moment responds to E
   la::Vec one = op.project([](int, double, double, double) { return 1.0; });
   EXPECT_LT(std::abs(one.dot(af)), 1e-8 * std::abs(zf.dot(af))); // density does not
+}
+
+TEST(Landau3D, NewMatrixIsTheCellPatternPerSpecies) {
+  // new_matrix() is the grid's block pattern once per species, equal to the
+  // pattern rebuilt here cell by cell for each species; mass() holds the
+  // host mass matrix in every block.
+  auto opts = small3d();
+  opts.cells_per_dim = 2;
+  opts.order = 2;
+  const Landau3DOperator op(two_species(), opts);
+  const Space3D& space = op.space();
+  la::SparsityPattern pattern(op.n_total(), op.n_total());
+  for (std::size_t c = 0; c < space.n_cells(); ++c)
+    for (int s = 0; s < op.n_species(); ++s) {
+      const std::size_t off = static_cast<std::size_t>(s) * space.n_dofs();
+      for (auto di : space.cell_dofs(c))
+        for (auto dj : space.cell_dofs(c))
+          pattern.add(off + static_cast<std::size_t>(di), off + static_cast<std::size_t>(dj));
+    }
+  pattern.compress();
+  const la::CsrMatrix want(pattern);
+  const la::CsrMatrix got = op.new_matrix();
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.nnz(), want.nnz());
+  EXPECT_TRUE(std::ranges::equal(got.row_offsets(), want.row_offsets()));
+  EXPECT_TRUE(std::ranges::equal(got.col_indices(), want.col_indices()));
+
+  la::CsrMatrix m1 = space.block_pattern();
+  space.assemble_mass(m1);
+  for (int s = 0; s < op.n_species(); ++s)
+    EXPECT_TRUE(std::ranges::equal(
+        op.mass().values().subspan(static_cast<std::size_t>(s) * m1.nnz(), m1.nnz()), m1.values()))
+        << "species " << s;
+}
+
+TEST(Landau3D, AssemblyRejectsForeignMatrix) {
+  // As in 2-D: a scatter by value index cannot tell, entry by entry, that a
+  // matrix has another pattern, so add_collision and add_advection check the
+  // layout first.
+  auto opts = small3d();
+  opts.cells_per_dim = 2;
+  opts.order = 2;
+  Landau3DOperator op(two_species(), opts);
+  op.pack(op.maxwellian_state());
+  la::CsrMatrix foreign = Space3D(opts.radius, 3, opts.order).block_pattern();
+  EXPECT_THROW(op.add_collision(foreign), Error);
+  EXPECT_THROW(op.add_advection(foreign, 0.3), Error);
+
+  // Same rows and nnz, other row offsets: the last entry of the first row
+  // moved to the last row, inside the second species' block.
+  const la::CsrMatrix own_pattern = op.new_matrix();
+  const auto rowptr = own_pattern.row_offsets();
+  const auto colind = own_pattern.col_indices();
+  la::SparsityPattern moved(own_pattern.rows(), own_pattern.cols());
+  for (std::size_t i = 0; i < own_pattern.rows(); ++i)
+    for (std::int32_t k = rowptr[i]; k < rowptr[i + 1]; ++k)
+      moved.add(k == rowptr[1] - 1 ? own_pattern.rows() - 1 : i,
+                static_cast<std::size_t>(colind[k]));
+  moved.compress();
+  la::CsrMatrix shifted(moved);
+  ASSERT_EQ(shifted.nnz(), own_pattern.nnz());
+  EXPECT_THROW(op.add_collision(shifted), Error);
+  EXPECT_THROW(op.add_advection(shifted, 0.3), Error);
+
+  la::CsrMatrix own = op.new_matrix();
+  EXPECT_NO_THROW(op.add_collision(own));
+  EXPECT_NO_THROW(op.add_advection(own, 0.3));
 }

@@ -4,9 +4,11 @@
 # the device memory-model checker validation suite (with the checker
 # force-enabled through the environment), the telemetry stage (a short traced quench run whose Chrome-trace JSON and
 # NDJSON step log are schema-validated, plus the bench_compare self-test),
-# the perfbench smoke stage (each benchmark workload once, its end-to-end
-# checks must pass), and the static stage: landau-lint over the annotated
-# kernel layer plus clang-tidy when available.
+# the back-end differential stage (the same quench with the default kernel
+# and with the serial cpu reference, step logs compared), the perfbench smoke
+# stage (each benchmark workload once, its end-to-end checks must pass), and
+# the static stage: landau-lint over the annotated kernel layer plus
+# clang-tidy when available.
 #
 # Usage: tools/check.sh [build-dir]   (default: build-check)
 #
@@ -90,6 +92,13 @@ print(f"telemetry ok: {len(events)} spans, {len(lines)} step records, "
       f"{factors} factorizations / {iterations} Newton iterations")
 EOF
   python3 tools/bench_compare.py --self-test
+else
+  echo "python3 not installed: skipped"
+fi
+
+echo "== differential: default back-end against the serial cpu reference =="
+if command -v python3 >/dev/null 2>&1; then
+  python3 tools/backend_diff.py "${BUILD}"
 else
   echo "python3 not installed: skipped"
 fi
