@@ -3,7 +3,9 @@
 //  1. Micro: nanoseconds per ScopedEvent (the one span type) with tracing
 //     disabled (two clock reads and the profiler's atomics — the cost every
 //     instrumented call site pays in a production run) and enabled (the same
-//     plus one ring write when the event ends).
+//     plus one ring write when the event ends). Each is the median of seven
+//     loops, run in off/on pairs that alternate which goes first, so a slow
+//     phase of a shared host moves both alike.
 //  2. Macro: an implicit-step loop on a small operator. The step overhead is
 //     what tracing adds per span times the spans of one traced loop, over the
 //     median untraced loop time (< 2% target — spans are coarse, one per
@@ -62,20 +64,18 @@ int main(int argc, char** argv) {
 
   // --- Micro: per-span cost --------------------------------------------------
   const int noop = Profiler::instance().event_id("bench:noop");
-  double ns_disabled = 0.0, ns_enabled = 0.0;
-  {
-    Stopwatch w;
-    for (int i = 0; i < reps; ++i) ScopedEvent ev(noop);
-    ns_disabled = w.seconds() * 1e9 / reps;
-  }
-  tracer.enable();
-  {
-    Stopwatch w;
-    for (int i = 0; i < reps; ++i) ScopedEvent ev(noop);
-    ns_enabled = w.seconds() * 1e9 / reps;
-  }
-  tracer.disable();
-  tracer.clear();
+  constexpr int kSpanRuns = 7;
+  std::vector<double> span_off, span_on;
+  for (int p = 0; p < kSpanRuns; ++p)
+    for (const bool traced : {p % 2 == 1, p % 2 == 0}) {
+      if (traced) tracer.enable();
+      Stopwatch w;
+      for (int i = 0; i < reps; ++i) ScopedEvent ev(noop);
+      (traced ? span_on : span_off).push_back(w.seconds() * 1e9 / reps);
+      tracer.disable();
+      tracer.clear();
+    }
+  const double ns_disabled = median(span_off), ns_enabled = median(span_on);
 
   // --- Macro: implicit-step loop --------------------------------------------
   SpeciesSet species = SpeciesSet::electron_deuterium();

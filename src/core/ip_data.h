@@ -8,10 +8,13 @@
 //
 // The inner integral needs a source point's species data only through three
 // charge-weighted sums (Σ_b q_b²/m_b ∂f_b in r and z, and Σ_b q_b² f_b), so
-// pack sums the per-species arrays once per point, and the kernels stream six
-// doubles per source point (r, z, w and the three sums) whatever the species
-// count. The rest of a pair's work is the inline tensor of core/landau_tensor.h,
-// whose K and E come from a fixed-degree polynomial-log form.
+// pack sums the per-species arrays once per point, and the kernels stream
+// four doubles per source point (w and the three sums) whatever the species
+// count. A pair's tensor (core/landau_tensor.h, K and E from a fixed-degree
+// polynomial-log form) depends only on r and z: the cuda-sim and kokkos-sim
+// kernels read it from the grid's pair-tensor table (core/jacobian.h), and
+// the cpu kernel, or a context without a table, streams r and z too and
+// computes it inline.
 //
 // With several grids (§III-H) the arrays concatenate every grid's points and
 // a species' values are nonzero only on the points of its own grid, so the

@@ -34,6 +34,9 @@ void assemble_landau_jacobian(Backend backend, exec::ThreadPool& pool,
                               exec::KernelCounters* counters) {
   LANDAU_ASSERT(ctx.fes && ctx.species && ctx.ip, "JacobianContext not initialized");
   LANDAU_ASSERT(ctx.ip->n_species == ctx.species->size(), "IP data species count mismatch");
+  LANDAU_ASSERT(ctx.tensor.empty() ||
+                    ctx.tensor.size() == ctx.fes->n_ips() * (ctx.ip->n_padded() / kIpChunk),
+                "pair-tensor table of " << ctx.tensor.size() << " chunks does not fit the grid");
   ctx.fes->scatter().check_layout(j, ctx.matrix_rows, ctx.matrix_nnz, ctx.block_offsets);
   ScopedEvent ev("landau:jacobian-kernel", {{"species", ctx.species->size()},
                                             {"cells", ctx.fes->n_cells()},

@@ -22,6 +22,13 @@
 // about the packed state* (D and K frozen): M df/dt = C(f) f, which is both
 // the quasi-Newton Jacobian contribution and — applied to f — the exact
 // nonlinear residual of the collision term.
+//
+// A pair's Landau tensor depends only on the two points' (r, z), which are
+// fixed for a mesh's lifetime, so a context may carry its grid's pair-tensor
+// table (LandauOperator builds one per grid at its first add_collision). The
+// cuda-sim and kokkos-sim kernels then stream the tensors instead of
+// recomputing them, with the same arithmetic in the same order, so the
+// matrix is the same bit for bit; the cpu kernel always recomputes.
 
 #include <span>
 #include <vector>
@@ -40,6 +47,14 @@ namespace landau {
 enum class Backend { Cpu, CudaSim, KokkosSim };
 
 const char* backend_name(Backend b);
+
+/// One field point's Landau tensors against a chunk of kIpChunk source
+/// points: the five TensorLanes entries (core/landau_tensor.h) of each pair,
+/// 40 bytes a pair. Cache-line aligned, so no lane load splits a line.
+struct alignas(64) TensorChunk {
+  double uk00[kIpChunk], uk10[kIpChunk], ud00[kIpChunk], off[kIpChunk], d11[kIpChunk];
+};
+inline constexpr int kTensorPairBytes = sizeof(TensorChunk) / kIpChunk;
 
 /// Everything the kernels need. Species coefficients enter only where the
 /// scatter applies them to a cell's matrices (I_S (x) A).
@@ -62,11 +77,17 @@ struct JacobianContext {
   std::vector<std::size_t> block_offsets;
   std::size_t matrix_rows = 0, matrix_nnz = 0;
 
-  /// One grid holding every species, block after block.
+  // The grid's pair-tensor table: row i (field point ip_offset + i) holds
+  // the tensors against every chunk of the padded source points,
+  // ip->n_padded() / kIpChunk chunks a row. Empty means recompute.
+  std::span<const TensorChunk> tensor;
+
+  /// One grid holding every species, block after block; no table.
   void init(const fem::FESpace& f, const SpeciesSet& s, const IPData& d) {
     fes = &f;
     species = &s;
     ip = &d;
+    tensor = {};
     const la::CsrMatrix& block = f.block_pattern();
     grid_species.clear();
     block_offsets.clear();

@@ -9,6 +9,9 @@
 //    shared memory; each x-lane takes eight consecutive points of every tile
 //    (the double2/double4 vector-load idiom) through the SIMD helper of
 //    core/inner_tile.h, so a tile is 8 x blockDim.x points (128 for Q2/Q3);
+//    with the grid's pair-tensor table the lane reads its point's tensors
+//    for those eight points from global memory, and the tile stages only w
+//    and the three species sums, else r and z too for the recompute;
 //    partial integrals live in per-thread registers, fold over their eight
 //    slots and combine with a warp-shuffle butterfly; the species-free
 //    element matrices K_e and D_e are formed by all threads, and each grid
@@ -45,8 +48,12 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
   const auto coeff = ctx.coefficients(landau_coeffs);
   const std::size_t n = ip.n;
   const std::size_t n_padded = ip.n_padded();
+  const std::size_t n_chunks = n_padded / kIpChunk;
+  const bool table = !ctx.tensor.empty();
   const exec::Dim3 block{reduction_lanes(nq), nq, 1};
   const std::size_t tile = kIpChunk * static_cast<std::size_t>(block.x);
+  // Per staged source point: w and the sums, plus r and z to recompute.
+  const int staged = table ? kSourceSumDoubles : kInnerPointDoubles;
 
   // Device-checker scope: register the packed IP arrays as inputs and the
   // assembly target as the concurrently-written output. Inactive (and free)
@@ -58,6 +65,7 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
   auto ref_sdfr = chk.in(std::span<const double>(ip.sum_dfr), "ip.sum_dfr");
   auto ref_sdfz = chk.in(std::span<const double>(ip.sum_dfz), "ip.sum_dfz");
   auto ref_sf = chk.in(std::span<const double>(ip.sum_f), "ip.sum_f");
+  auto ref_tensor = chk.in(ctx.tensor, "tensor.table");
   // The assembly target is written concurrently by all blocks (paper
   // §III-F): stores must go through the atomic path, which landau-lint
   // enforces on direct subscript stores through views of this ref.
@@ -77,6 +85,7 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
         auto gsdfr = blk.view(ref_sdfr);
         auto gsdfz = blk.view(ref_sdfz);
         auto gsf = blk.view(ref_sf);
+        auto gtensor = blk.view(ref_tensor);
         auto gout = blk.view(ref_out);
 
         // Register files: each thread's eight-slot partial (G_K, G_D), and
@@ -85,8 +94,11 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
         auto red = blk.registers<InnerAccum>("red");
 
         // Shared memory: staging tiles, the per-point results and K_e, D_e.
-        auto tile_r = blk.shared<double>(tile, "tile_r");
-        auto tile_z = blk.shared<double>(tile, "tile_z");
+        check::checked_span<double> tile_r, tile_z;
+        if (!table) {
+          tile_r = blk.shared<double>(tile, "tile_r");
+          tile_z = blk.shared<double>(tile, "tile_z");
+        }
         auto tile_w = blk.shared<double>(tile, "tile_w");
         auto tile_sdfr = blk.shared<double>(tile, "tile_sdfr");
         auto tile_sdfz = blk.shared<double>(tile, "tile_sdfz");
@@ -102,8 +114,10 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
           blk.threads([&](exec::ThreadIdx t) {
             for (int k = t.flat; k < tn; k += blk.num_threads()) {
               const std::size_t gj = j0 + static_cast<std::size_t>(k);
-              tile_r[static_cast<std::size_t>(k)] = gr[gj];
-              tile_z[static_cast<std::size_t>(k)] = gz[gj];
+              if (!table) {
+                tile_r[static_cast<std::size_t>(k)] = gr[gj];
+                tile_z[static_cast<std::size_t>(k)] = gz[gj];
+              }
               tile_w[static_cast<std::size_t>(k)] = gw[gj];
               tile_sdfr[static_cast<std::size_t>(k)] = gsdfr[gj];
               tile_sdfz[static_cast<std::size_t>(k)] = gsdfz[gj];
@@ -111,23 +125,31 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
             }
           });
           blk.sync();
-          scope.dram(static_cast<std::int64_t>(tn) * kInnerPointDoubles * 8);
+          scope.dram(static_cast<std::int64_t>(tn) * staged * 8);
           // Each x-lane folds its eight consecutive points of the tile.
           blk.threads([&](exec::ThreadIdx t) {
             const auto k = kIpChunk * static_cast<std::size_t>(t.x);
             if (k >= static_cast<std::size_t>(tn)) return;
-            const std::size_t gi =
-                ctx.ip_offset + cell * static_cast<std::size_t>(nq) + static_cast<std::size_t>(t.y);
-            const InnerSource src{tile_r.read_ptr(k, kIpChunk),    tile_z.read_ptr(k, kIpChunk),
-                                  tile_w.read_ptr(k, kIpChunk),    tile_sdfr.read_ptr(k, kIpChunk),
+            const std::size_t i = cell * static_cast<std::size_t>(nq) + static_cast<std::size_t>(t.y);
+            const SourceSums sums{tile_w.read_ptr(k, kIpChunk), tile_sdfr.read_ptr(k, kIpChunk),
                                   tile_sdfz.read_ptr(k, kIpChunk), tile_sf.read_ptr(k, kIpChunk)};
-            inner_tile(gr[gi], gz[gi], src, regs.rw_ptr(static_cast<std::size_t>(t.flat)));
+            InnerSlots* slots = regs.rw_ptr(static_cast<std::size_t>(t.flat));
+            if (table) {
+              inner_tile_table(*gtensor.read_ptr(i * n_chunks + (j0 + k) / kIpChunk), sums, slots);
+            } else {
+              const std::size_t gi = ctx.ip_offset + i;
+              const InnerSource src{tile_r.read_ptr(k, kIpChunk), tile_z.read_ptr(k, kIpChunk),
+                                    sums};
+              inner_tile(gr[gi], gz[gi], src, slots);
+            }
           });
           blk.sync();
-          // Flops of the real pairs only: padding points are not work.
+          // Flops of the real pairs only: padding points are not work. The
+          // table streams every pair it stores.
           const auto real = static_cast<std::int64_t>(std::min(tile, n - j0));
-          scope.flops(real * nq * inner_flops());
-          scope.shared(static_cast<std::int64_t>(tn) * nq * kInnerPointDoubles * 8);
+          scope.flops(real * nq * (table ? kInnerAccumulateFlops : inner_flops()));
+          if (table) scope.dram(static_cast<std::int64_t>(tn) * nq * kTensorPairBytes);
+          scope.shared(static_cast<std::int64_t>(tn) * nq * staged * 8);
         }
 
         // Fold each thread's slots, then the warp-shuffle reduction across

@@ -4,7 +4,8 @@
 // reducer object (InnerSlots) — the machinery the CUDA version spells out
 // with registers and warp shuffles is hidden in the reduction (§III-D). The
 // vector range runs over chunks of eight source points, each through the
-// SIMD helper of core/inner_tile.h.
+// SIMD helper of core/inner_tile.h, which reads the chunk's tensors from the
+// grid's pair-tensor table when the context has one.
 
 #include "core/inner_tile.h"
 #include "core/jacobian.h"
@@ -26,6 +27,9 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
   const auto coeff = ctx.coefficients(landau_coeffs);
   const std::size_t n = ip.n;
   const auto n_chunks = static_cast<int>(ip.n_padded() / kIpChunk);
+  const bool table = !ctx.tensor.empty();
+  // Per streamed source point: w and the sums, plus r and z to recompute.
+  const int streamed_doubles = table ? kSourceSumDoubles : kInnerPointDoubles;
 
   const kk::TeamPolicy policy{static_cast<int>(fes.n_cells()), nq, 32};
 
@@ -38,6 +42,7 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
   auto ref_sdfr = chk.in(std::span<const double>(ip.sum_dfr), "ip.sum_dfr");
   auto ref_sdfz = chk.in(std::span<const double>(ip.sum_dfz), "ip.sum_dfz");
   auto ref_sf = chk.in(std::span<const double>(ip.sum_f), "ip.sum_f");
+  auto ref_tensor = chk.in(ctx.tensor, "tensor.table");
   auto ref_out = LANDAU_CROSS_BLOCK(chk.out(j.values(), "csr.values"));
 
   kk::parallel_for(
@@ -53,6 +58,7 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
     auto gsdfr = member.view(ref_sdfr);
     auto gsdfz = member.view(ref_sdfz);
     auto gsf = member.view(ref_sf);
+    auto gtensor = member.view(ref_tensor);
     auto gout = member.view(ref_out);
 
     // Team scratch: variable-length shared arrays (no compile-time sizing,
@@ -62,16 +68,23 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
 
     // Integration points distributed over the team's threads.
     member.team_range(nq, [&](int i) {
-      const std::size_t gi = ctx.ip_offset + cell * static_cast<std::size_t>(nq) + static_cast<std::size_t>(i);
+      const std::size_t row = cell * static_cast<std::size_t>(nq) + static_cast<std::size_t>(i);
+      const std::size_t gi = ctx.ip_offset + row;
       InnerSlots slots;
       member.vector_reduce(
           n_chunks,
           [&](int c, InnerSlots& acc) {
             const std::size_t k = kIpChunk * static_cast<std::size_t>(c);
-            const InnerSource src{gr.read_ptr(k, kIpChunk),    gz.read_ptr(k, kIpChunk),
-                                  gw.read_ptr(k, kIpChunk),    gsdfr.read_ptr(k, kIpChunk),
+            const SourceSums sums{gw.read_ptr(k, kIpChunk), gsdfr.read_ptr(k, kIpChunk),
                                   gsdfz.read_ptr(k, kIpChunk), gsf.read_ptr(k, kIpChunk)};
-            inner_tile(gr[gi], gz[gi], src, &acc);
+            if (table) {
+              inner_tile_table(*gtensor.read_ptr(row * static_cast<std::size_t>(n_chunks) +
+                                                 static_cast<std::size_t>(c)),
+                               sums, &acc);
+            } else {
+              inner_tile(gr[gi], gz[gi], {gr.read_ptr(k, kIpChunk), gz.read_ptr(k, kIpChunk), sums},
+                         &acc);
+            }
           },
           slots);
       kkdd[static_cast<std::size_t>(i)] =
@@ -80,9 +93,10 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
     member.team_barrier();
     // Flops of the real pairs only; the padded stream is what moves.
     const auto streamed = static_cast<std::int64_t>(n_chunks) * static_cast<std::int64_t>(kIpChunk);
-    scope.flops(static_cast<std::int64_t>(n) * nq * inner_flops());
-    scope.dram(streamed * kInnerPointDoubles * 8); // per-member stream
-    scope.shared(streamed * nq * kInnerPointDoubles * 8);
+    scope.flops(static_cast<std::int64_t>(n) * nq * (table ? kInnerAccumulateFlops : inner_flops()));
+    scope.dram(streamed * streamed_doubles * 8); // per-member stream
+    if (table) scope.dram(streamed * nq * kTensorPairBytes);
+    scope.shared(streamed * nq * streamed_doubles * 8);
 
     // Transform & Assemble across the team: the entries of K_e and D_e.
     const int total = nb * nb;

@@ -31,29 +31,43 @@ template <class V> struct InnerSums {
 /// One thread's partial (G_K, G_D).
 using InnerAccum = InnerSums<double>;
 
-/// Flops per inner-loop iteration (tensor + accumulation), used by every
-/// back-end for consistent roofline accounting. The species sums are formed
-/// once per point by LandauOperator::pack and counted there.
-LANDAU_DEVICE inline int inner_flops() { return kLandauTensor2DFlops + 14; }
+/// Flops of one pair's accumulation against the source sums (inner_accumulate),
+/// the f-dependent part of a pair. The species sums are formed once per point
+/// by LandauOperator::pack and counted there.
+inline constexpr int kInnerAccumulateFlops = 14;
 
-/// Doubles a back-end streams per source point: r, z, w and the three
-/// species sums of IPData.
+/// Flops per inner-loop iteration that recomputes the tensor (tensor +
+/// accumulation), used by every back-end for consistent roofline accounting.
+LANDAU_DEVICE inline int inner_flops() { return kLandauTensor2DFlops + kInnerAccumulateFlops; }
+
+/// Doubles a back-end streams per source point: w and the three species sums
+/// of IPData, plus r and z when it recomputes the tensor.
+inline constexpr int kSourceSumDoubles = 4;
 inline constexpr int kInnerPointDoubles = 6;
 
+/// One pair's contribution per lane to the inner integral from its tensor:
+/// Algorithm 1 lines 10-11. The j-side weight and species sums may come from
+/// shared-memory staging buffers (tiles), the tensor from a pair-tensor table.
+template <class V>
+[[gnu::always_inline]] LANDAU_DEVICE inline void
+inner_accumulate(const TensorLanes<V>& t, const V& wj, const V& sum_dfr_j, const V& sum_dfz_j,
+                 const V& sum_f_j, InnerSums<V>* acc) {
+  acc->gk_r += wj * (t.uk00 * sum_dfr_j + t.off * sum_dfz_j);
+  acc->gk_z += wj * (t.uk10 * sum_dfr_j + t.d11 * sum_dfz_j);
+  acc->gd00 += wj * sum_f_j * t.ud00;
+  acc->gd01 += wj * sum_f_j * t.off;
+  acc->gd11 += wj * sum_f_j * t.d11;
+}
+
 /// One (i, j) contribution per lane to the inner integral: Algorithm 1
-/// lines 4-11. The j-side data (coordinates, weight and IPData's species
-/// sums) may come from shared-memory staging buffers (tiles).
+/// lines 4-11, the tensor recomputed from the two points' coordinates.
 template <class V>
 [[gnu::always_inline]] LANDAU_DEVICE inline void
 inner_pair(const V& ri, const V& zi, const V& rj, const V& zj, const V& wj, const V& sum_dfr_j,
            const V& sum_dfz_j, const V& sum_f_j, InnerSums<V>* acc) {
   TensorLanes<V> t{};
   landau_tensor_lanes(ri, zi, rj, zj, &t);
-  acc->gk_r += wj * (t.uk00 * sum_dfr_j + t.off * sum_dfz_j);
-  acc->gk_z += wj * (t.uk10 * sum_dfr_j + t.d11 * sum_dfz_j);
-  acc->gd00 += wj * sum_f_j * t.ud00;
-  acc->gd01 += wj * sum_f_j * t.off;
-  acc->gd11 += wj * sum_f_j * t.d11;
+  inner_accumulate(t, wj, sum_dfr_j, sum_dfz_j, sum_f_j, acc);
 }
 
 /// The scalar pair of the serial reference: inner_pair at W = 1.

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "core/advection.h"
+#include "core/inner_tile.h"
 #include "exec/check.h"
 #include "util/logging.h"
 #include "util/profiler.h"
@@ -210,12 +211,43 @@ JacobianContext LandauOperator::make_context(int g) const {
     ctx.block_offsets.push_back(value_offsets_[static_cast<std::size_t>(s)]);
   ctx.matrix_rows = n_total_;
   ctx.matrix_nnz = mass_.nnz();
+  if (!tables_.empty())
+    ctx.tensor = {tables_[static_cast<std::size_t>(g)].get(),
+                  gb.fes->n_ips() * (ip_.n_padded() / kIpChunk)};
   return ctx;
+}
+
+void LandauOperator::build_pair_tables() {
+  // The coordinates are the mesh's, the same in every pack.
+  const std::size_t n_chunks = ip_.n_padded() / kIpChunk;
+  const std::size_t bytes = ip_total_ * n_chunks * sizeof(TensorChunk);
+  if (opts_.backend == Backend::Cpu || !tables_.empty() || bytes > kPairTableBudgetBytes) return;
+  const int event = Profiler::instance().event_id("landau:tensor");
+  ScopedEvent ev(event, {{"pairs", ip_total_ * ip_.n_padded()}});
+  // Every grid's table or none: make_context indexes tables_ by grid.
+  std::vector<std::unique_ptr<TensorChunk[]>> tables;
+  for (const auto& g : grids_) {
+    // Every entry is written below, so the allocation is not zero-filled.
+    auto table = std::make_unique_for_overwrite<TensorChunk[]>(g.fes->n_ips() * n_chunks);
+    pool_->parallel_for(g.fes->n_ips(), [&](std::size_t i) {
+      const std::size_t gi = g.ip_offset + i;
+      for (std::size_t c = 0; c < n_chunks; ++c)
+        detail::tensor_chunk(ip_.r[gi], ip_.z[gi], &ip_.r[c * kIpChunk], &ip_.z[c * kIpChunk],
+                             &table[i * n_chunks + c]);
+    });
+    tables.push_back(std::move(table));
+  }
+  tables_ = std::move(tables);
+  // The tensor's flops on the real pairs; the traffic is the table written.
+  Profiler::instance().add_work(
+      event, static_cast<std::int64_t>(ip_total_ * ip_.n) * kLandauTensor2DFlops,
+      static_cast<std::int64_t>(bytes));
 }
 
 void LandauOperator::add_collision(la::CsrMatrix& j, exec::KernelCounters* counters) {
   LANDAU_ASSERT(ip_.n > 0, "pack() a state before assembling the collision operator");
   ScopedEvent ev("landau:matrix");
+  build_pair_tables();
   for (int g = 0; g < n_grids(); ++g)
     assemble_landau_jacobian(opts_.backend, *pool_, make_context(g), j, counters);
   if (robustness().paranoid)

@@ -19,6 +19,12 @@
 // The state vector concatenates the species' free-dof blocks in species
 // order, so every assembled operator is block diagonal (§III); on one grid
 // the nonzero pattern is I_S (x) A_1.
+//
+// Each grid gets a pair-tensor table (JacobianContext::tensor): its points'
+// Landau tensors against every padded point, computed once per mesh by the
+// first add_collision under the profiler event `landau:tensor` and read by
+// the cuda-sim and kokkos-sim kernels at every later call. The mesh is fixed
+// for the operator's lifetime, so a table never goes stale.
 
 #include <functional>
 #include <limits>
@@ -39,6 +45,15 @@
 #include "util/options.h"
 
 namespace landau {
+
+/// The most memory an operator's pair-tensor tables may take, summed over
+/// its grids: 40 bytes a pair, every point against every padded point, so
+/// the size grows as the square of the point count. 512 MiB admits the three
+/// benchmark meshes (124 MB at most, 1,760 points) and the paper's Table I
+/// ten-grid operator (3,200 points, 410 MB); a mesh of 10,000 points would
+/// need 4 GB. An operator above it recomputes the tensor at every call, as
+/// the paper does.
+inline constexpr std::size_t kPairTableBudgetBytes = std::size_t{512} << 20;
 
 struct LandauOptions {
   int order = 3;                 // Qk element order (paper: Q3)
@@ -123,8 +138,14 @@ public:
   const IPData& ip_data() const { return ip_; }
 
   /// J += C(f_packed): the frozen-coefficient collision operator
-  /// (quasi-Newton Jacobian contribution and exact residual matrix).
+  /// (quasi-Newton Jacobian contribution and exact residual matrix). The
+  /// first call on the cuda-sim or kokkos-sim back-end builds the grids'
+  /// pair-tensor tables, unless they would exceed kPairTableBudgetBytes.
   void add_collision(la::CsrMatrix& j, exec::KernelCounters* counters = nullptr) override;
+
+  /// The kernel context of grid g, as add_collision passes it to
+  /// assemble_landau_jacobian: with the grid's table once it is built.
+  JacobianContext make_context(int g) const;
 
   /// J += A with A the E-field advection blocks (see core/advection.h).
   void add_advection(la::CsrMatrix& j, double e_z) const override;
@@ -152,7 +173,7 @@ public:
 private:
   const GridBlock& only_grid() const;
   const fem::FESpace& space_of(int s) const { return *grid(grid_of_species(s)).fes; }
-  JacobianContext make_context(int g) const;
+  void build_pair_tables();
 
   SpeciesSet species_;
   LandauOptions opts_;
@@ -165,6 +186,8 @@ private:
   std::unique_ptr<exec::ThreadPool> pool_;
   la::CsrMatrix mass_;
   IPData ip_;
+  // One pair-tensor table per grid, each grid's points x padded chunks.
+  std::vector<std::unique_ptr<TensorChunk[]>> tables_;
 };
 
 } // namespace landau

@@ -183,26 +183,51 @@ void Landau3DOperator::pack(const la::Vec& state) {
 }
 
 void Landau3DOperator::kernel_cpu(la::CsrMatrix& j, exec::KernelCounters* counters) const {
+  namespace check = exec::check;
   const int nq = space_.tabulation().n_quad();
   const auto nb = static_cast<std::size_t>(space_.tabulation().n_basis());
   const std::size_t n = ip_.n;
-  const Source3 all{ip_.x.data(),       ip_.y.data(),       ip_.z.data(),
-                    ip_.w.data(),       ip_.sum_dfx.data(), ip_.sum_dfy.data(),
-                    ip_.sum_dfz.data(), ip_.sum_f.data()};
+
+  // Device-checker scope, as in core/kernel_cpu.cpp: one "block" per cell,
+  // run serially (concurrent_blocks = false), so only the bounds and
+  // initialization rules apply.
+  check::KernelScope chk("landau3d:jacobian-cpu", /*concurrent_blocks=*/false);
+  auto ref_x = chk.in(std::span<const double>(ip_.x), "ip.x");
+  auto ref_y = chk.in(std::span<const double>(ip_.y), "ip.y");
+  auto ref_z = chk.in(std::span<const double>(ip_.z), "ip.z");
+  auto ref_w = chk.in(std::span<const double>(ip_.w), "ip.w");
+  auto ref_sdfx = chk.in(std::span<const double>(ip_.sum_dfx), "ip.sum_dfx");
+  auto ref_sdfy = chk.in(std::span<const double>(ip_.sum_dfy), "ip.sum_dfy");
+  auto ref_sdfz = chk.in(std::span<const double>(ip_.sum_dfz), "ip.sum_dfz");
+  auto ref_sf = chk.in(std::span<const double>(ip_.sum_f), "ip.sum_f");
+  auto ref_out = chk.out(j.values(), "csr.values");
+  check::ThreadCtx tc;
+  tc.session = chk.session();
+  check::checked_span<const double> gx(ref_x, &tc), gy(ref_y, &tc), gz(ref_z, &tc), gw(ref_w, &tc);
+  check::checked_span<const double> gsdfx(ref_sdfx, &tc), gsdfy(ref_sdfy, &tc),
+      gsdfz(ref_sdfz, &tc), gsf(ref_sf, &tc);
+  check::checked_span<double> gout(ref_out, &tc);
+
   std::vector<Accum3> g(static_cast<std::size_t>(nq));
   std::vector<double> ce(2 * nb * nb);
   for (std::size_t cell = 0; cell < space_.n_cells(); ++cell) {
     exec::CounterScope scope(counters);
+    tc.block = static_cast<int>(cell);
+    const Source3 all{gx.read_ptr(0, n),    gy.read_ptr(0, n),    gz.read_ptr(0, n),
+                      gw.read_ptr(0, n),    gsdfx.read_ptr(0, n), gsdfy.read_ptr(0, n),
+                      gsdfz.read_ptr(0, n), gsf.read_ptr(0, n)};
     const std::size_t i0 = cell * static_cast<std::size_t>(nq);
     for (std::size_t i = 0; i < g.size(); ++i) {
-      const double vi[3] = {ip_.x[i0 + i], ip_.y[i0 + i], ip_.z[i0 + i]};
+      const double vi[3] = {gx[i0 + i], gy[i0 + i], gz[i0 + i]};
       g[i] = inner_integral3(vi, all, n);
     }
     scope.flops(static_cast<std::int64_t>(nq) * static_cast<std::int64_t>(n) * kInnerFlops3);
     scope.dram(static_cast<std::int64_t>(n) * kInnerPointDoubles3 * 8);
-    element_matrices_3d(space_, g, {ip_.w.data() + i0, g.size()}, ce);
-    space_.scatter().add(cell, ce, coeff_, value_offsets_, j.values(), false);
+    element_matrices_3d(space_, g, {gw.read_ptr(i0, g.size()), g.size()}, ce);
+    space_.scatter().add(cell, ce, coeff_, value_offsets_, j.values(), false,
+                         gout.active() ? &gout : nullptr);
   }
+  chk.finish();
 }
 
 void Landau3DOperator::kernel_cuda(la::CsrMatrix& j, exec::KernelCounters* counters) const {

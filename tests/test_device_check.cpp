@@ -41,6 +41,17 @@ LandauOperator make_small_op(Backend backend = Backend::CudaSim) {
   return LandauOperator(species, small_opts(backend));
 }
 
+/// A small 3-D grid: 2 cells per dimension, Q2.
+v3::Landau3DOptions small_3d_opts(Backend backend) {
+  v3::Landau3DOptions o;
+  o.radius = 3.5;
+  o.cells_per_dim = 2;
+  o.order = 2;
+  o.backend = backend;
+  o.n_workers = 2;
+  return o;
+}
+
 /// First report matching (category, kernel); null if none.
 const check::Report* find_report(const std::vector<check::Report>& reports, const char* category,
                                  const std::string& kernel) {
@@ -343,18 +354,55 @@ TEST_F(DeviceCheck, AllBackendsAssembleCleanUnderStrict) {
     la::CsrMatrix j = op.new_matrix();
     EXPECT_NO_THROW(assemble_landau_jacobian(be, pool, ctx, j)) << backend_name(be);
   }
-  // The 3-D cuda-sim kernel (the serial 3-D reference registers nothing) on
-  // a small grid: 2 cells per dimension, Q2.
-  v3::Landau3DOptions o3;
-  o3.radius = 3.5;
-  o3.cells_per_dim = 2;
-  o3.order = 2;
-  o3.n_workers = 2;
-  v3::Landau3DOperator op3(SpeciesSet::electron_deuterium(), o3);
+  // The fast kernels reading the operators' pair-tensor tables.
+  for (Backend be : {Backend::CudaSim, Backend::KokkosSim}) {
+    LandauOperator tabled = make_small_op(be);
+    tabled.pack(tabled.maxwellian_state());
+    la::CsrMatrix j = tabled.new_matrix();
+    EXPECT_NO_THROW(tabled.add_collision(j)) << backend_name(be) << " table";
+    EXPECT_FALSE(tabled.make_context(0).tensor.empty());
+  }
+  // Both 3-D kernels on a small grid: 2 cells per dimension, Q2.
+  for (Backend be : {Backend::Cpu, Backend::CudaSim}) {
+    v3::Landau3DOperator op3(SpeciesSet::electron_deuterium(), small_3d_opts(be));
+    op3.pack(op3.maxwellian_state());
+    la::CsrMatrix j3 = op3.new_matrix();
+    EXPECT_NO_THROW(op3.add_collision(j3)) << "3-D " << backend_name(be);
+  }
+  EXPECT_EQ(check::DeviceChecker::instance().total(), 0);
+}
+
+TEST_F(DeviceCheck, UninitInputBufferReadIsReportedIn3DCpuKernel) {
+  check::options().uninit_input = "ip.sum_f";
+  v3::Landau3DOperator op3(SpeciesSet::electron_deuterium(), small_3d_opts(Backend::Cpu));
   op3.pack(op3.maxwellian_state());
   la::CsrMatrix j3 = op3.new_matrix();
-  EXPECT_NO_THROW(op3.add_collision(j3)) << "3-D cuda-sim";
-  EXPECT_EQ(check::DeviceChecker::instance().total(), 0);
+  op3.add_collision(j3);
+
+  auto& dc = check::DeviceChecker::instance();
+  EXPECT_GE(dc.count(check::kUninitRead), 1);
+  const auto reports = dc.reports();
+  const check::Report* r = find_report(reports, check::kUninitRead, "landau3d:jacobian-cpu");
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->buffer, "ip.sum_f");
+}
+
+TEST_F(DeviceCheck, PairTensorTableIsACheckedInput) {
+  // The operator's cuda-sim path reads its pair-tensor table through the
+  // checker: named as unwritten, the table draws an uninit-read report.
+  check::options().uninit_input = "tensor.table";
+  LandauOperator op = make_small_op();
+  op.pack(op.maxwellian_state());
+  la::CsrMatrix j = op.new_matrix();
+  op.add_collision(j);
+  ASSERT_FALSE(op.make_context(0).tensor.empty());
+
+  auto& dc = check::DeviceChecker::instance();
+  EXPECT_GE(dc.count(check::kUninitRead), 1);
+  const auto reports = dc.reports();
+  const check::Report* r = find_report(reports, check::kUninitRead, "landau:jacobian-cuda");
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->buffer, "tensor.table");
 }
 
 TEST_F(DeviceCheck, RelaxationStepRunsCleanUnderStrict) {

@@ -1,6 +1,8 @@
 // The SIMD inner integral (core/inner_tile.h): every lane width fills the
 // eight slots bit for bit alike, and each slot is the scalar reference pair
-// (inner_point) accumulated over that slot's source points.
+// (inner_point) accumulated over that slot's source points. The pair-tensor
+// table's entries are landau_tensor_2d's values, and reading them gives the
+// recomputing helper's slots, at every width.
 
 #include <gtest/gtest.h>
 
@@ -118,6 +120,71 @@ TEST(InnerTile, MatchesScalarInnerPoint) {
       const double* p = ref.gd01;
       const double tree = ((p[0] + p[4]) + (p[2] + p[6])) + ((p[1] + p[5]) + (p[3] + p[7]));
       EXPECT_EQ(bits(slots.fold().gd01), bits(tree));
+    }
+  }
+}
+
+TEST(InnerTile, TableFillMatchesScalarTensorBitwise) {
+  // tensor_chunk at W = 1, 2 and 4 stores, per pair, the five entries
+  // landau_tensor_2d gives for it: U^K = [uk00, off; uk10, d11] and
+  // U^D = [ud00, off; off, d11].
+  std::vector<int> widths{1, 2};
+  if (simd_variant() == SimdVariant::Avx2) widths.push_back(4);
+  for (unsigned seed = 21; seed <= 23; ++seed) {
+    const Tile t = make_tile(32, 29, seed);
+    for (const auto& f : kField)
+      for (std::size_t c = 0; c < t.n_chunks(); ++c) {
+        const std::size_t j0 = c * kIpChunk;
+        TensorChunk dispatched;
+        tensor_chunk(f[0], f[1], t.r.data() + j0, t.z.data() + j0, &dispatched);
+        for (const int w : widths) {
+          TensorChunk tc;
+          tensor_chunk_at_width(w, f[0], f[1], t.r.data() + j0, t.z.data() + j0, &tc);
+          for (std::size_t k = 0; k < kIpChunk; ++k) {
+            Tensor2 uk, ud;
+            landau_tensor_2d(f[0], f[1], t.r[j0 + k], t.z[j0 + k], &uk, &ud);
+            SCOPED_TRACE(testing::Message() << "W=" << w << " pair " << j0 + k);
+            EXPECT_EQ(bits(tc.uk00[k]), bits(uk.m[0][0]));
+            EXPECT_EQ(bits(tc.uk10[k]), bits(uk.m[1][0]));
+            EXPECT_EQ(bits(tc.ud00[k]), bits(ud.m[0][0]));
+            EXPECT_EQ(bits(tc.off[k]), bits(uk.m[0][1]));
+            EXPECT_EQ(bits(tc.off[k]), bits(ud.m[1][0]));
+            EXPECT_EQ(bits(tc.d11[k]), bits(uk.m[1][1]));
+            EXPECT_EQ(bits(dispatched.d11[k]), bits(tc.d11[k]));
+          }
+        }
+      }
+  }
+}
+
+TEST(InnerTile, TableHelperMatchesRecomputeAtEveryWidth) {
+  // inner_tile_table over tensor_chunk's entries fills the slots inner_tile
+  // fills from the coordinates, bit for bit, at every width.
+  std::vector<int> widths{1, 2};
+  if (simd_variant() == SimdVariant::Avx2) widths.push_back(4);
+  for (unsigned seed = 31; seed <= 33; ++seed) {
+    const Tile t = make_tile(64, 59, seed);
+    for (const auto& f : kField) {
+      InnerSlots recompute_dispatched, table_dispatched;
+      for (std::size_t c = 0; c < t.n_chunks(); ++c) {
+        TensorChunk tc;
+        tensor_chunk(f[0], f[1], t.r.data() + c * kIpChunk, t.z.data() + c * kIpChunk, &tc);
+        inner_tile(f[0], f[1], t.chunk(c), &recompute_dispatched);
+        inner_tile_table(tc, t.chunk(c).sums, &table_dispatched);
+      }
+      expect_same_slots(table_dispatched, recompute_dispatched, simd_variant_name());
+      for (const int w : widths) {
+        InnerSlots recompute, table;
+        for (std::size_t c = 0; c < t.n_chunks(); ++c) {
+          TensorChunk tc;
+          tensor_chunk_at_width(w, f[0], f[1], t.r.data() + c * kIpChunk,
+                                t.z.data() + c * kIpChunk, &tc);
+          inner_tile_at_width(w, f[0], f[1], t.chunk(c), &recompute);
+          inner_tile_table_at_width(w, tc, t.chunk(c).sums, &table);
+        }
+        expect_same_slots(table, recompute, w == 1 ? "W=1" : w == 2 ? "W=2" : "W=4");
+        expect_same_slots(table, table_dispatched, "table at W vs dispatched");
+      }
     }
   }
 }

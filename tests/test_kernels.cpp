@@ -106,6 +106,25 @@ double block_deviation(const LandauOperator& op, const la::CsrMatrix& a, const l
   return worst;
 }
 
+/// The collision matrix from assemble_landau_jacobian on each of op's grid
+/// contexts without its pair-tensor table: the tensor recomputed per pair.
+la::CsrMatrix recomputed(const LandauOperator& op, Backend backend) {
+  la::CsrMatrix j = op.new_matrix();
+  exec::ThreadPool pool(1);
+  for (int g = 0; g < op.n_grids(); ++g) {
+    JacobianContext ctx = op.make_context(g);
+    ctx.tensor = {};
+    assemble_landau_jacobian(backend, pool, ctx, j);
+  }
+  return j;
+}
+
+/// Every stored value of a equals b's.
+void expect_same_values(const la::CsrMatrix& a, const la::CsrMatrix& b) {
+  ASSERT_EQ(a.nnz(), b.nnz());
+  for (std::size_t k = 0; k < a.nnz(); ++k) EXPECT_EQ(a.values()[k], b.values()[k]) << "value " << k;
+}
+
 } // namespace
 
 TEST(Kernels, AllBackendsProduceTheSameJacobian) {
@@ -202,13 +221,76 @@ TEST(Kernels, CountersReportComputeBoundJacobian) {
   la::Vec f = op.maxwellian_state();
   op.pack(f);
   la::CsrMatrix j = op.new_matrix();
-  exec::KernelCounters jac_counters, mass_counters;
-  op.add_collision(j, &jac_counters);
+  // Algorithm 1 as the paper runs it, the tensor recomputed at every call:
+  // a context without the operator's pair-tensor table.
+  exec::KernelCounters jac_counters, mass_counters, table_counters;
+  exec::ThreadPool pool(2);
+  assemble_landau_jacobian(Backend::CudaSim, pool, op.make_context(0), j, &jac_counters);
   op.add_mass_kernel(j, 1.0, &mass_counters);
   // The paper's Table IV contrast: Jacobian AI >> mass AI.
   EXPECT_GT(jac_counters.arithmetic_intensity(), 4.0);
   EXPECT_LT(mass_counters.arithmetic_intensity(), 2.5);
   EXPECT_GT(jac_counters.arithmetic_intensity(), 4.0 * mass_counters.arithmetic_intensity());
+  // Read from the table, a pair is 14 flops against 40 streamed bytes: the
+  // per-iteration kernel sits on the memory side, with the mass kernel.
+  op.add_collision(j, &table_counters);
+  ASSERT_FALSE(op.make_context(0).tensor.empty());
+  EXPECT_LT(table_counters.arithmetic_intensity(), 1.0);
+}
+
+TEST(Kernels, PairTableMatchesRecomputeBitwise) {
+  // The first add_collision builds each grid's pair-tensor table and every
+  // call after it reads the table. At one worker each value equals the
+  // recompute path's on a context without the table, on the e/D mesh (with
+  // hanging nodes) and on the three-grid tungsten operator, for two states.
+  for (const Plasma& plasma : {electron_deuterium(), tungsten_three_grids()}) {
+    for (Backend be : {Backend::CudaSim, Backend::KokkosSim}) {
+      SCOPED_TRACE(testing::Message() << plasma.name << ", " << backend_name(be));
+      LandauOptions o = small_opts(be);
+      o.n_workers = 1;
+      LandauOperator op(plasma.species, o, plasma.cluster_ratio);
+      EXPECT_TRUE(op.make_context(0).tensor.empty()) << "the constructor builds no table";
+      for (int call = 0; call < 2; ++call) {
+        std::vector<double> drifts(static_cast<std::size_t>(op.n_species()), 0.0);
+        drifts[0] = 0.3 * call;
+        op.pack(op.maxwellian_state(drifts));
+        la::CsrMatrix j = op.new_matrix();
+        op.add_collision(j);
+        for (int g = 0; g < op.n_grids(); ++g)
+          EXPECT_EQ(op.make_context(g).tensor.size(),
+                    op.grid(g).fes->n_ips() * op.ip_data().n_padded() / kIpChunk);
+        expect_same_values(j, recomputed(op, be));
+      }
+    }
+  }
+  // The serial reference never reads a table, so its operator builds none.
+  LandauOperator cpu = electron_deuterium().op(Backend::Cpu);
+  cpu.pack(cpu.maxwellian_state());
+  la::CsrMatrix j = cpu.new_matrix();
+  cpu.add_collision(j);
+  EXPECT_TRUE(cpu.make_context(0).tensor.empty());
+}
+
+TEST(Kernels, PairTablesStayWithTheirOperator) {
+  // Two operators on differently refined meshes assemble in turn, each
+  // through its own tables: each matches its own recompute path. The finer
+  // one builds first, so a table leaking into the coarser operator would
+  // read as wrong values rather than past its end.
+  const Plasma plasma = electron_deuterium();
+  LandauOptions coarse = small_opts(Backend::CudaSim);
+  coarse.n_workers = 1;
+  LandauOptions fine = coarse;
+  fine.cells_per_thermal = 1.0;
+  LandauOperator a(plasma.species, coarse), b(plasma.species, fine);
+  ASSERT_NE(a.n_ips_total(), b.n_ips_total());
+  for (int call = 0; call < 2; ++call)
+    for (LandauOperator* op : {&b, &a}) {
+      op->pack(op->maxwellian_state());
+      la::CsrMatrix j = op->new_matrix();
+      op->add_collision(j);
+      ASSERT_FALSE(op->make_context(0).tensor.empty());
+      expect_same_values(j, recomputed(*op, Backend::CudaSim));
+    }
 }
 
 TEST(Kernels, MassKernelMatchesHostMassMatrix) {

@@ -220,3 +220,31 @@ TEST(Operator, LinearSolversAgree) {
     EXPECT_NEAR(f_gmres[i], f_band[i], 1e-5 * std::max(1.0, std::abs(f_band[i])));
   }
 }
+
+TEST(Operator, PairTablesStayWithinTheMemoryBudget) {
+  // This Q3 mesh of 3,680 points would need 517 MiB of pair-tensor tables,
+  // just over kPairTableBudgetBytes: its add_collision builds none and
+  // recomputes, so the matrix is the one of its context without a table.
+  SpeciesSet sp = SpeciesSet::electron_deuterium();
+  sp[1].mass = 25.0;
+  LandauOptions o = test_opts();
+  o.radius = 5.0;
+  o.cells_per_thermal = 1.5;
+  o.max_levels = 4;
+  o.n_workers = 1;
+  LandauOperator op(sp, o);
+  op.pack(op.maxwellian_state());
+  const std::size_t need = op.n_ips_total() * op.ip_data().n_padded() * sizeof(TensorChunk) / kIpChunk;
+  ASSERT_GT(need, kPairTableBudgetBytes);
+  ASSERT_LT(need, kPairTableBudgetBytes + kPairTableBudgetBytes / 20) << "not just over";
+
+  la::CsrMatrix j = op.new_matrix();
+  op.add_collision(j);
+  const JacobianContext ctx = op.make_context(0);
+  EXPECT_TRUE(ctx.tensor.empty());
+  la::CsrMatrix ref = op.new_matrix();
+  exec::ThreadPool pool(1);
+  assemble_landau_jacobian(Backend::CudaSim, pool, ctx, ref);
+  ASSERT_EQ(j.nnz(), ref.nnz());
+  for (std::size_t k = 0; k < j.nnz(); ++k) EXPECT_EQ(j.values()[k], ref.values()[k]) << k;
+}

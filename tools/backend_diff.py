@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Back-end differential stage: the default kernel against the serial reference.
+"""Back-end differential stage: the fast kernels against the serial reference.
 
-Runs the 5-step thermal quench of tools/check.sh's telemetry stage twice,
-once with the default Landau back-end (cuda-sim) and once with
-`-landau_backend cpu`, the serial reference kernel, and compares the two
-NDJSON step logs record by record:
+Runs the 5-step thermal quench of tools/check.sh's telemetry stage three
+times, with the default Landau back-end (cuda-sim), with `-landau_backend
+kokkos` and with `-landau_backend cpu`, the serial reference kernel. The two
+fast kernels read the operator's pair-tensor table; the reference recomputes
+every tensor. Each fast run's NDJSON step log is compared with the
+reference's record by record:
 
   * n_e, j_z, e_z, t_e and runaway_fraction within 1e-10 relative;
   * newton_iterations, factorizations, rejections and dt exactly.
@@ -42,30 +44,39 @@ def relative(a, b):
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
+def compare(name, fast, cpu):
+    """Failure lines of one fast back-end's log against the reference log."""
+    if len(fast) != len(cpu) or len(fast) < 6:
+        return [f"{len(fast)} {name} records against {len(cpu)} cpu records"]
+    failures = []
+    worst = dict.fromkeys(RELATIVE, 0.0)
+    for a, b in zip(fast, cpu):
+        for key in RELATIVE:
+            d = relative(a[key], b[key])
+            worst[key] = max(worst[key], d)
+            if d > TOLERANCE:
+                failures.append(f"{name} step {a['step']} {key}: {a[key]!r} vs {b[key]!r} "
+                                f"({d:.2e})")
+        for key in EXACT:
+            if a[key] != b[key]:
+                failures.append(f"{name} step {a['step']} {key}: {a[key]!r} vs {b[key]!r}")
+    print(f"backend diff ({name} vs cpu), worst relative: " +
+          ", ".join(f"{k} {v:.1e}" for k, v in worst.items()))
+    return failures
+
+
 def main():
     build = sys.argv[1] if len(sys.argv) > 1 else "build"
     binary = os.path.join(build, "examples", "thermal_quench")
     with tempfile.TemporaryDirectory() as tmp:
         default = step_log(binary, os.path.join(tmp, "default.ndjson"), [])
+        kokkos = step_log(binary, os.path.join(tmp, "kokkos.ndjson"),
+                          ["-landau_backend", "kokkos"])
         cpu = step_log(binary, os.path.join(tmp, "cpu.ndjson"), ["-landau_backend", "cpu"])
-    if len(default) != len(cpu) or len(default) < 6:
-        sys.exit(f"backend diff: {len(default)} default records against {len(cpu)} cpu records")
-    failures = []
-    worst = dict.fromkeys(RELATIVE, 0.0)
-    for a, b in zip(default, cpu):
-        for key in RELATIVE:
-            d = relative(a[key], b[key])
-            worst[key] = max(worst[key], d)
-            if d > TOLERANCE:
-                failures.append(f"step {a['step']} {key}: {a[key]!r} vs {b[key]!r} ({d:.2e})")
-        for key in EXACT:
-            if a[key] != b[key]:
-                failures.append(f"step {a['step']} {key}: {a[key]!r} vs {b[key]!r}")
-    print("backend diff (default vs cpu), worst relative: " +
-          ", ".join(f"{k} {v:.1e}" for k, v in worst.items()))
+    failures = compare("default", default, cpu) + compare("kokkos", kokkos, cpu)
     if failures:
         sys.exit("backend diff failed:\n  " + "\n  ".join(failures))
-    print(f"backend diff ok: {len(default)} records, counts and dt equal")
+    print(f"backend diff ok: {len(cpu)} records per back-end, counts and dt equal")
 
 
 if __name__ == "__main__":
