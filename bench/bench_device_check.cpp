@@ -44,6 +44,7 @@ int main(int argc, char** argv) {
     std::printf("%s", opts.help_text().c_str());
     return 0;
   }
+  LANDAU_ASSERT(workers >= 0, "-workers " << workers << ": must be >= 0");
 
   auto species = SpeciesSet::electron_deuterium();
   species[1].mass = 25.0;

@@ -53,8 +53,7 @@ int main(int argc, char** argv) {
     NewtonOptions newton;
     newton.rtol = 1e-6;
     newton.max_iterations = 15;
-    const auto res = measure_resistivity(op, e_z, dt, max_steps, 2e-3,
-                                         LinearSolverKind::BandLU, newton);
+    const auto res = measure_resistivity(op, e_z, dt, max_steps, 2e-3, newton);
     const double eta_sp = spitzer_eta(z);
     table.add_row().cell(z, 0).cell(res.eta, 5).cell(eta_sp, 5).cell(res.eta / eta_sp, 4)
         .cell(res.steps).cell(res.converged ? "yes" : "no");

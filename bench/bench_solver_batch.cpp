@@ -118,6 +118,7 @@ int main(int argc, char** argv) {
     std::printf("%s", opts.help_text().c_str());
     return 0;
   }
+  LANDAU_ASSERT(workers >= 0, "-workers " << workers << ": must be >= 0");
 
   // --- 1. allocation audit ---------------------------------------------------
   // 10 species-style blocks (the §V problem's structure), serial solver: the

@@ -127,7 +127,9 @@ inline LandauOptions perf_mesh_options(Options& opts, Backend backend) {
   lopts.cells_per_thermal = opts.get<double>("cells_per_thermal", 0.45, "AMR target");
   lopts.max_levels = opts.get<int>("max_levels", 6, "AMR depth cap");
   lopts.backend = backend;
-  lopts.n_workers = static_cast<unsigned>(opts.get<int>("workers", 1, "emulated SMs"));
+  const int workers = opts.get<int>("workers", 1, "emulated SMs");
+  LANDAU_ASSERT(workers >= 0, "-workers " << workers << ": must be >= 0");
+  lopts.n_workers = static_cast<unsigned>(workers);
   return lopts;
 }
 

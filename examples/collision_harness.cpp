@@ -32,6 +32,7 @@ int main(int argc, char** argv) {
     std::printf("%s", opts.help_text().c_str());
     return 0;
   }
+  LANDAU_ASSERT(workers >= 0, "-workers " << workers << ": must be >= 0");
 
   SpeciesSet species =
       n_species >= 10 ? SpeciesSet::tungsten_plasma() : SpeciesSet::electron_deuterium();

@@ -14,7 +14,7 @@
 // Telemetry: -landau_trace trace.json writes a Chrome/Perfetto span trace of
 // the whole run (kernel launches, solver phases) and prints the self-time
 // tree; -landau_step_log steps.ndjson appends one JSON record per accepted
-// step (dt, Newton/GMRES iterations, rejections, n_e, J, E, T_e). The same
+// step (dt, Newton iterations, rejections, n_e, J, E, T_e). The same
 // switches exist as LANDAU_TRACE / LANDAU_STEP_LOG environment variables for
 // binaries without option plumbing.
 

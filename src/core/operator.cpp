@@ -25,12 +25,15 @@ LandauOptions LandauOptions::from_options(Options& opts) {
       opts.get<std::string>("landau_backend", "cuda", "kernel back-end: cpu|cuda|kokkos");
   if (be == "cpu")
     o.backend = Backend::Cpu;
+  else if (be == "cuda")
+    o.backend = Backend::CudaSim;
   else if (be == "kokkos")
     o.backend = Backend::KokkosSim;
   else
-    o.backend = Backend::CudaSim;
-  o.n_workers = static_cast<unsigned>(opts.get<int>("landau_workers", 0, "emulated SM workers"));
-  o.atomic_assembly = opts.get<bool>("landau_atomic_assembly", true, "GPU-style atomic assembly");
+    LANDAU_THROW("-landau_backend " << be << ": expected cpu|cuda|kokkos");
+  const int workers = opts.get<int>("landau_workers", 0, "emulated SM workers");
+  LANDAU_ASSERT(workers >= 0, "-landau_workers " << workers << ": must be >= 0");
+  o.n_workers = static_cast<unsigned>(workers);
   // Device memory-model checker switches (also reachable via the
   // LANDAU_CHECK_DEVICE environment variable; the command line wins).
   auto& chk = exec::check::options();
@@ -203,7 +206,6 @@ JacobianContext LandauOperator::make_context(int g) const {
   const GridBlock& gb = grid(g);
   JacobianContext ctx;
   ctx.init(*gb.fes, species_, ip_);
-  ctx.atomic_assembly = opts_.atomic_assembly;
   ctx.ip_offset = gb.ip_offset;
   ctx.grid_species = gb.species;
   ctx.block_offsets.clear();

@@ -63,14 +63,14 @@ struct LandauOptions {
   double zone_extent = 3.0;      // refined zone in thermal radii
   int max_levels = 16;
   Backend backend = Backend::CudaSim;
-  bool atomic_assembly = true;
   unsigned n_workers = 0;        // exec-model workers ("SMs"); 0 = inline
 
   /// Extra refined strips for runaway-electron tails (§III-B), on the
   /// fastest grid.
   std::vector<mesh::VelocityMeshSpec::TailZone> tail_zones;
 
-  /// Read overrides from a -landau_* option database.
+  /// Read overrides from a -landau_* option database. Throws landau::Error
+  /// on a negative worker count or a back-end other than cpu|cuda|kokkos.
   static LandauOptions from_options(Options& opts);
 };
 

@@ -7,7 +7,6 @@
 
 #include "util/error.h"
 #include "util/logging.h"
-#include "util/robustness.h"
 
 namespace landau::exec::check {
 
@@ -52,8 +51,6 @@ CheckOptions& options() {
   }();
   return opts;
 }
-
-bool enabled() { return options().enabled || robustness().check_device; }
 
 // ---------------------------------------------------------------------------
 // Report
@@ -349,7 +346,7 @@ void KernelSession::diff_schedules() {
 // ---------------------------------------------------------------------------
 
 KernelScope::KernelScope(const char* kernel, bool concurrent_blocks) {
-  if (enabled()) session_ = std::make_unique<KernelSession>(kernel, concurrent_blocks);
+  if (options().enabled) session_ = std::make_unique<KernelSession>(kernel, concurrent_blocks);
 }
 
 KernelScope::~KernelScope() {

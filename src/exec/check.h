@@ -31,7 +31,7 @@
 // test: no shadow state is allocated and no access is recorded.
 //
 // Enabling: LANDAU_CHECK_DEVICE=1 (or "strict", "shuffle", comma-separable)
-// in the environment, RobustnessOptions::check_device, or programmatically
+// in the environment, the -landau_check_device option, or programmatically
 // through check::options(). Reports flow through util/logging with
 // (kernel, buffer, index, block, phase, thread) provenance; strict mode makes
 // KernelScope::finish() throw landau::Error on the first report.
@@ -55,7 +55,7 @@ namespace landau::exec::check {
 // ---------------------------------------------------------------------------
 
 struct CheckOptions {
-  bool enabled = false; // master switch (see also robustness().check_device)
+  bool enabled = false; // master switch
   bool strict = false;  // KernelScope::finish() throws on any report
   bool shuffle = false; // ScheduleShuffler: double-run launches, diff outputs
   std::uint64_t shuffle_seed = 0x9e3779b97f4a7c15ull;
@@ -72,9 +72,6 @@ struct CheckOptions {
 
 /// Mutable global options; first access parses LANDAU_CHECK_DEVICE.
 CheckOptions& options();
-
-/// True when checking is on (options().enabled or robustness().check_device).
-bool enabled();
 
 // ---------------------------------------------------------------------------
 // Reports

@@ -22,7 +22,7 @@ StepControllerOptions resolve_controller(const QuenchOptions& opts) {
 } // namespace
 
 QuenchModel::QuenchModel(LandauOperator& op, QuenchOptions opts)
-    : op_(op), opts_(opts), integrator_(op, opts.newton, opts.linear),
+    : op_(op), opts_(opts), integrator_(op, opts.newton),
       controller_(integrator_, resolve_controller(opts)), f_(op.maxwellian_state()) {}
 
 void QuenchModel::save_checkpoint(const QuenchResult& result, const LoopState& ls) const {
@@ -163,8 +163,6 @@ QuenchResult QuenchModel::run() {
       rec.set("newton_iterations", s.newton_iterations);
       rec.set("factorizations", adv ? adv->step.factorizations : 0);
       rec.set("newton_contraction", adv ? adv->step.max_contraction : 0.0);
-      rec.set("gmres_iterations_total",
-              static_cast<long long>(reg.counter("solver.gmres.iterations").value()));
       rec.set("rejections", s.rejections);
       rec.set("n_e", s.n_e);
       rec.set("j_z", s.j_z);
@@ -228,9 +226,9 @@ QuenchResult QuenchModel::run() {
 }
 
 ResistivityResult measure_resistivity(LandauOperator& op, double e_z, double dt, int max_steps,
-                                      double tol, LinearSolverKind linear, NewtonOptions newton) {
+                                      double tol, NewtonOptions newton) {
   ScopedEvent ev("quench:resistivity");
-  ImplicitIntegrator integrator(op, newton, linear);
+  ImplicitIntegrator integrator(op, newton);
   StepControllerOptions copts;
   copts.dt_initial = dt;
   copts.dt_min = std::min(copts.dt_min, dt * 1e-3);

@@ -41,7 +41,6 @@ struct QuenchOptions {
   double tail_speed = 2.5;        // |v| (v0 units) above which electrons count
                                   // toward the seed-runaway diagnostic
   NewtonOptions newton;
-  LinearSolverKind linear = LinearSolverKind::BandLU;
 
   /// Reject/retry + adaptive-dt knobs. dt_initial/dt_max are derived from
   /// `dt` unless set explicitly (dt_initial <= 0 means "use dt").
@@ -128,8 +127,6 @@ struct ResistivityResult {
   long stagnated_steps = 0; // accepted-but-stagnated steps
 };
 ResistivityResult measure_resistivity(LandauOperator& op, double e_z, double dt, int max_steps,
-                                      double tol = 1e-3,
-                                      LinearSolverKind linear = LinearSolverKind::BandLU,
-                                      NewtonOptions newton = {});
+                                      double tol = 1e-3, NewtonOptions newton = {});
 
 } // namespace landau::quench

@@ -27,13 +27,11 @@ constexpr double kRefactorContraction = 0.5;
 
 } // namespace
 
-ImplicitIntegrator::ImplicitIntegrator(CollisionOperatorBase& op, NewtonOptions nopts,
-                                       LinearSolverKind linear, LinearSolverOptions lsopts)
-    : op_(op), nopts_(nopts), linear_(linear), lsopts_(lsopts), cmat_(op.new_matrix()),
-      jmat_(cmat_), band_(&op.worker_pool()) {}
+ImplicitIntegrator::ImplicitIntegrator(CollisionOperatorBase& op, NewtonOptions nopts)
+    : op_(op), nopts_(nopts), cmat_(op.new_matrix()), jmat_(cmat_), band_(&op.worker_pool()) {}
 
 void ImplicitIntegrator::invalidate_if_structure_changed(const la::CsrMatrix& jmat) {
-  // The band solvers' symbolic phase (RCM, block discovery, scatter maps) is
+  // The band solver's symbolic phase (RCM, block discovery, scatter maps) is
   // amortized across Newton iterations and steps (§III-G); quasi-Newton
   // freezes the structure, so only an actual pattern change — AMR refine
   // swapping in a new matrix — may invalidate it.
@@ -43,7 +41,6 @@ void ImplicitIntegrator::invalidate_if_structure_changed(const la::CsrMatrix& jm
                  << sym_rows_ << "x" << sym_nnz_ << " nnz -> " << jmat.rows() << "x"
                  << jmat.nnz() << " nnz), re-running symbolic analysis");
   band_.invalidate();
-  if (device_band_) device_band_->invalidate();
   sym_rows_ = jmat.rows();
   sym_nnz_ = jmat.nnz();
 }
@@ -55,31 +52,13 @@ void ImplicitIntegrator::factor() {
   if (robustness().paranoid)
     LANDAU_ASSERT(jmat_.all_finite(), "paranoid: non-finite entries in the Newton matrix");
   invalidate_if_structure_changed(jmat_);
-  switch (linear_) {
-    case LinearSolverKind::BandLU: {
-      if (!band_.analyzed()) {
-        band_.analyze(jmat_);
-        LANDAU_DEBUG("band solver: " << band_.n_blocks() << " blocks, bandwidth "
-                                     << band_.bandwidth());
-      }
-      ScopedEvent ev("landau:factor");
-      band_.factor(jmat_);
-      break;
-    }
-    case LinearSolverKind::DeviceBandLU: {
-      if (!device_band_) device_band_ = std::make_unique<la::DeviceBlockBandSolver>(op_.worker_pool());
-      if (!device_band_->analyzed()) device_band_->analyze(jmat_);
-      ScopedEvent ev("landau:factor");
-      device_band_->factor(jmat_);
-      break;
-    }
-    case LinearSolverKind::DenseLU: {
-      ScopedEvent ev("landau:factor");
-      dense_.emplace(jmat_.to_dense()); // a throw leaves dense_ empty, no stale LU
-      break;
-    }
-    case LinearSolverKind::Gmres: break; // solve() iterates on jmat_ itself
+  if (!band_.analyzed()) {
+    band_.analyze(jmat_);
+    LANDAU_DEBUG("band solver: " << band_.n_blocks() << " blocks, bandwidth "
+                                 << band_.bandwidth());
   }
+  ScopedEvent ev("landau:factor");
+  band_.factor(jmat_);
 }
 
 void ImplicitIntegrator::solve(const la::Vec& rhs, la::Vec& x) {
@@ -87,27 +66,7 @@ void ImplicitIntegrator::solve(const la::Vec& rhs, la::Vec& x) {
   auto& fault = FaultInjector::instance();
   if (fault.armed() && fault.fire(FaultKind::Throw, "solve"))
     LANDAU_THROW("injected fault: triangular solve failure");
-  switch (linear_) {
-    case LinearSolverKind::BandLU: band_.solve(rhs, x); break;
-    case LinearSolverKind::DeviceBandLU: device_band_->solve(rhs, x); break;
-    case LinearSolverKind::DenseLU: dense_->solve(rhs, x); break;
-    case LinearSolverKind::Gmres: {
-      x.zero();
-      la::GmresOptions gopts;
-      gopts.rtol = lsopts_.gmres_rtol;
-      gopts.atol = lsopts_.gmres_atol;
-      gopts.max_iterations = lsopts_.gmres_max_iterations;
-      gopts.restart = lsopts_.gmres_restart;
-      gopts.jacobi_preconditioner = lsopts_.gmres_jacobi_preconditioner;
-      const auto res = la::gmres_solve(jmat_, rhs, x, gopts);
-      static obs::Counter& gmres_iters =
-          obs::MetricsRegistry::instance().counter("solver.gmres.iterations");
-      gmres_iters.inc(res.iterations);
-      if (!res.converged)
-        LANDAU_WARN("GMRES stalled at residual " << res.residual_norm);
-      break;
-    }
-  }
+  band_.solve(rhs, x);
 }
 
 StepStats ImplicitIntegrator::step(la::Vec& f, double dt, double e_z, const la::Vec* source) {
@@ -207,8 +166,7 @@ StepStats ImplicitIntegrator::step(la::Vec& f, double dt, double e_z, const la::
     const double contraction = it > 0 ? stats.residual_norm / r_prev : 0.0;
     stats.max_contraction = std::max(stats.max_contraction, contraction);
     if (r0 < 0) r0 = stats.residual_norm > 0 ? stats.residual_norm : 1.0;
-    if (nopts_.verbose)
-      LANDAU_INFO("newton " << it << " |G| = " << stats.residual_norm);
+    LANDAU_DEBUG("newton " << it << " |G| = " << stats.residual_norm);
     if (stats.residual_norm <= std::max(nopts_.atol, nopts_.rtol * r0)) {
       stats.converged = true;
       break;

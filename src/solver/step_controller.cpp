@@ -57,11 +57,10 @@ AdvanceStats StepController::advance(la::Vec& f, double e_z, const la::Vec* sour
 
     bool ok = false;
     if (!threw) {
-      const bool finite = !stats.non_finite && std::isfinite(stats.residual_norm) &&
-                          (!opts_.check_state_finite || f.all_finite());
-      const bool stagnated_only = finite && stats.stagnated && !stats.converged;
-      ok = finite && (stats.converged || (stagnated_only && !opts_.reject_stagnated));
-      if (!ok && last && stagnated_only && opts_.accept_stagnated_on_exhaust) {
+      const bool finite =
+          !stats.non_finite && std::isfinite(stats.residual_norm) && f.all_finite();
+      ok = finite && stats.converged;
+      if (!ok && last && finite && stats.stagnated) {
         // Retrying cannot beat the quasi-Newton roundoff floor; completing
         // with an honest warning beats dying here (the XGC production
         // constraint: the implicit step must always finish).

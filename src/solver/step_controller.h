@@ -7,21 +7,20 @@
 // would silently poison every downstream diagnostic. advance() wraps one
 // step() with reject/retry semantics:
 //
-//   accept   converged (or stagnated, when stagnation is tolerated) AND the
-//            state, residual and update are finite. A streak of easy accepts
+//   accept   converged AND the state, residual and update are finite (the
+//            state scan is O(n) and always runs). A streak of easy accepts
 //            (few Newton iterations, no rejects) grows dt by `growth` toward
 //            dt_max, so the Spitzer plateau runs at large steps.
-//   reject   divergence, stagnation (by default), a non-finite residual /
-//            update / state, or a landau::Error thrown by the linear solver.
+//   reject   divergence, stagnation, a non-finite residual / update / state,
+//            or a landau::Error thrown by the linear solver.
 //            The state rolls back to the pre-step snapshot, dt shrinks by
 //            `backoff` (floored at dt_min), and the step re-attempts — so the
 //            quench transient is resolved with small steps automatically.
 //   give up  after max_retries rejected attempts advance() throws
 //            landau::Error — except that a final attempt which merely
 //            stagnated (finite state, |update| at the quasi-Newton roundoff
-//            floor) is accepted with a warning when
-//            accept_stagnated_on_exhaust is set, because retrying cannot
-//            beat the roundoff floor and production runs must complete.
+//            floor) is accepted with a warning, because retrying cannot beat
+//            the roundoff floor and production runs must complete.
 //
 // Controller state (dt, easy-step streak, accept/reject counters) is plain
 // data with no hidden RNG, so save_state()/restore_state() round-trips it
@@ -42,9 +41,6 @@ struct StepControllerOptions {
   int easy_streak = 3;       // consecutive easy accepts before growing dt
   int easy_newton_threshold = 4; // a step is easy if it takes <= this many its
   int max_retries = 8;       // rejected attempts per advance before giving up
-  bool reject_stagnated = true;
-  bool accept_stagnated_on_exhaust = true;
-  bool check_state_finite = true; // scan f after each attempt (cheap O(n))
 };
 
 /// Outcome of one accepted advance.

@@ -45,10 +45,6 @@ struct RobustnessOptions {
   /// and the Newton matrix with LANDAU_ASSERT (O(nnz) scans per Newton
   /// iteration; off by default, the controller's cheap guards stay on).
   bool paranoid = false;
-
-  /// Enable the device memory-model checker (exec/check.h) for every
-  /// instrumented kernel launch; equivalent to LANDAU_CHECK_DEVICE=1.
-  bool check_device = false;
 };
 
 /// Global robustness switches (mirrors the Options database pattern: examples

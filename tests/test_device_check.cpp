@@ -14,6 +14,7 @@
 
 #include "core/operator.h"
 #include "exec/cuda_sim.h"
+#include "la/band_device.h"
 #include "landau3d/operator3d.h"
 #include "quench/model.h"
 #include "solver/implicit.h"
@@ -406,12 +407,43 @@ TEST_F(DeviceCheck, PairTensorTableIsACheckedInput) {
 }
 
 TEST_F(DeviceCheck, RelaxationStepRunsCleanUnderStrict) {
-  // Full implicit step: Jacobian + mass kernels, device band factor/solve.
+  // Full implicit step: the cuda-sim Jacobian kernel at every Newton
+  // iteration. The step uses the host mass matrix, not the mass kernel, and
+  // factors with the host band LU.
   check::options().strict = true;
   LandauOperator op = make_small_op();
   la::Vec f = op.maxwellian_state();
-  ImplicitIntegrator integ(op, {}, LinearSolverKind::DeviceBandLU);
+  ImplicitIntegrator integ(op);
   EXPECT_NO_THROW(integ.step(f, 0.1));
+  EXPECT_EQ(check::DeviceChecker::instance().total(), 0);
+}
+
+TEST_F(DeviceCheck, DeviceBandSolverRunsCleanUnderStrict) {
+  // The device band LU on the Newton matrix M - dt C(f): analyzed once, then
+  // factored and solved at two states, as two Newton iterations would.
+  check::options().strict = true;
+  LandauOperator op = make_small_op();
+  const double dt = 0.1;
+  la::CsrMatrix c = op.new_matrix(), jmat = op.new_matrix();
+  la::DeviceBlockBandSolver solver(op.worker_pool());
+  la::Vec f = op.maxwellian_state(), rhs(op.n_total()), x(op.n_total());
+  auto factor_and_solve = [&] {
+    op.pack(f);
+    c.zero_entries();
+    op.add_collision(c);
+    jmat.zero_entries();
+    jmat.axpy(1.0, op.mass());
+    jmat.axpy(-dt, c);
+    if (!solver.analyzed()) solver.analyze(jmat);
+    solver.factor(jmat);
+    op.mass().mult(f, rhs);
+    solver.solve(rhs, x); // (M - dt C(f)) x = M f, a linearized implicit step
+    f = x;
+  };
+  EXPECT_NO_THROW(factor_and_solve());
+  EXPECT_NO_THROW(factor_and_solve());
+  EXPECT_EQ(solver.analysis_count(), 1);
+  EXPECT_TRUE(f.all_finite());
   EXPECT_EQ(check::DeviceChecker::instance().total(), 0);
 }
 
@@ -422,7 +454,6 @@ TEST_F(DeviceCheck, QuenchStepRunsCleanUnderStrict) {
   q.dt = 0.5;
   q.max_steps = 1;
   q.newton.rtol = 1e-6;
-  q.linear = LinearSolverKind::DeviceBandLU;
   quench::QuenchModel model(op, q);
   EXPECT_NO_THROW(model.run());
   EXPECT_EQ(check::DeviceChecker::instance().total(), 0);

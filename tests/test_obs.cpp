@@ -361,8 +361,8 @@ TEST(ObsStepLog, QuenchRunWritesSchemaCompliantNdjson) {
     const obs::JsonValue rec = obs::JsonValue::parse(line); // throws if malformed
     ASSERT_TRUE(rec.is_object());
     for (const char* key : {"kind", "step", "t", "dt", "newton_iterations", "factorizations",
-                            "newton_contraction", "gmres_iterations_total", "rejections", "n_e",
-                            "j_z", "e_z", "t_e", "phase"})
+                            "newton_contraction", "rejections", "n_e", "j_z", "e_z", "t_e",
+                            "phase"})
       ASSERT_TRUE(rec.contains(key)) << "missing key '" << key << "' in: " << line;
     EXPECT_EQ(rec.find("kind")->as_string(), "quench");
     EXPECT_EQ(rec.find("step")->as_int(), n_lines);

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/operator.h"
 #include "solver/implicit.h"
@@ -197,28 +199,27 @@ TEST(Operator, BandSolverSeesOneBlockPerSpecies) {
   EXPECT_LT(integrator.band_bandwidth(), op.n_dofs_per_species());
 }
 
-TEST(Operator, LinearSolversAgree) {
-  LandauOperator op(electron_only(), test_opts());
-  la::Vec f0 = op.project(
-      [](int, double r, double z) { return maxwellian_rz(r, z, 1.0, 0.8, -0.4); });
-
-  la::Vec f_band = f0, f_device = f0, f_dense = f0, f_gmres = f0;
-  NewtonOptions nopts;
-  nopts.rtol = 1e-8;
-  ImplicitIntegrator band(op, nopts, LinearSolverKind::BandLU);
-  band.step(f_band, 0.5);
-  ImplicitIntegrator device(op, nopts, LinearSolverKind::DeviceBandLU);
-  device.step(f_device, 0.5);
-  ImplicitIntegrator dense(op, nopts, LinearSolverKind::DenseLU);
-  dense.step(f_dense, 0.5);
-  ImplicitIntegrator gmres(op, nopts, LinearSolverKind::Gmres);
-  gmres.step(f_gmres, 0.5);
-
-  for (std::size_t i = 0; i < f_band.size(); ++i) {
-    EXPECT_NEAR(f_device[i], f_band[i], 1e-10 * std::max(1.0, std::abs(f_band[i])));
-    EXPECT_NEAR(f_dense[i], f_band[i], 1e-7 * std::max(1.0, std::abs(f_band[i])));
-    EXPECT_NEAR(f_gmres[i], f_band[i], 1e-5 * std::max(1.0, std::abs(f_band[i])));
+TEST(Operator, FromOptionsRejectsBadValues) {
+  // Parsing only: no operator or worker pool is built from these values.
+  auto from_argv = [](std::vector<const char*> args) {
+    args.insert(args.begin(), "test");
+    Options opts;
+    opts.parse(static_cast<int>(args.size()), args.data());
+    return LandauOptions::from_options(opts);
+  };
+  EXPECT_EQ(from_argv({}).backend, Backend::CudaSim);
+  EXPECT_EQ(from_argv({"-landau_backend", "cpu"}).backend, Backend::Cpu);
+  EXPECT_EQ(from_argv({"-landau_backend", "cuda"}).backend, Backend::CudaSim);
+  EXPECT_EQ(from_argv({"-landau_backend", "kokkos"}).backend, Backend::KokkosSim);
+  EXPECT_EQ(from_argv({"-landau_workers", "3"}).n_workers, 3u);
+  try {
+    from_argv({"-landau_backend", "kokos"});
+    ADD_FAILURE() << "an unknown back-end name was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("cpu|cuda|kokkos"), std::string::npos) << e.what();
   }
+  EXPECT_THROW(from_argv({"-landau_backend", "cuda-sim"}), Error);
+  EXPECT_THROW(from_argv({"-landau_workers", "-1"}), Error);
 }
 
 TEST(Operator, PairTablesStayWithinTheMemoryBudget) {

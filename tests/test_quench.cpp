@@ -141,7 +141,7 @@ TEST(Quench, ResistivityPhaseCurrentGrowsTowardSteadyState) {
   LandauOperator op = make_op();
   NewtonOptions loose;
   loose.rtol = 1e-6;
-  auto res = measure_resistivity(op, 1e-3, 0.5, 40, 5e-3, LinearSolverKind::BandLU, loose);
+  auto res = measure_resistivity(op, 1e-3, 0.5, 40, 5e-3, loose);
   EXPECT_TRUE(res.converged);
   // Electrons drift against E (charge -1): J = -q_e n u ... sign works out
   // positive for E > 0.

@@ -2,9 +2,8 @@
 // of Newton updates on a real multi-species Landau Jacobian, symbolic-phase
 // reuse across refactorization (the §III-G amortization), the shared
 // validated block discovery, and the integrator-level correctness fixes
-// (honest convergence/stagnation reporting, GMRES options plumbing), plus the
-// lagged Newton matrix against a quasi-Newton step that factors at every
-// iteration.
+// (honest convergence/stagnation reporting), plus the lagged Newton matrix
+// against a quasi-Newton step that factors at every iteration.
 
 #include <gtest/gtest.h>
 
@@ -69,7 +68,8 @@ double rel_err(const Vec& x, const Vec& ref) {
 
 TEST(SolverEquivalence, NewtonUpdateMatchesAcrossAllFourSolvers) {
   // A real multi-species quasi-Newton system M - dt (C - A) from the Landau
-  // operator, solved through every linear path of the integrator.
+  // operator, solved by the integrator's band LU and by the three solvers
+  // kept beside it: the device band LU, dense LU and GMRES.
   auto species = SpeciesSet::electron_deuterium();
   species[1].mass = 25.0;
   LandauOperator op(species, small_opts());
@@ -252,30 +252,6 @@ TEST(ImplicitIntegrator, StagnationIsReportedHonestly) {
   EXPECT_GT(stats.residual_norm, 0.0);
 }
 
-TEST(ImplicitIntegrator, GmresOptionsArePlumbedThrough) {
-  // The GMRES branch must honor LinearSolverOptions instead of hard-coded
-  // tolerances: with sane options it reproduces the band-LU step.
-  auto species = SpeciesSet::electron_deuterium();
-  species[1].mass = 25.0;
-  LandauOperator op(species, small_opts());
-  NewtonOptions nopts;
-  nopts.rtol = 1e-8;
-
-  la::Vec f_band = op.maxwellian_state();
-  ImplicitIntegrator band(op, nopts, LinearSolverKind::BandLU);
-  band.step(f_band, 0.3);
-
-  LinearSolverOptions lsopts;
-  lsopts.gmres_rtol = 1e-13;
-  lsopts.gmres_max_iterations = 4000;
-  la::Vec f_gmres = op.maxwellian_state();
-  ImplicitIntegrator gmres(op, nopts, LinearSolverKind::Gmres, lsopts);
-  EXPECT_EQ(gmres.linear_options().gmres_rtol, 1e-13);
-  gmres.step(f_gmres, 0.3);
-
-  EXPECT_LT(rel_err(f_gmres, f_band), 1e-8);
-}
-
 // ---------------------------------------------------------------------------
 // Lagged Newton matrix against the unlagged quasi-Newton reference
 // ---------------------------------------------------------------------------
@@ -331,8 +307,8 @@ UnlaggedStep unlagged_step(CollisionOperatorBase& op, Vec& f, double dt, double 
 }
 
 /// One integrator step and one unlagged reference step from f0 at rtol 1e-8:
-/// the states agree to the DenseLU tolerance of Operator.LinearSolversAgree,
-/// and lagging costs at most one extra iteration. Returns the integrator's
+/// the states agree to 1e-7 relative, and lagging costs at most one extra
+/// iteration. Returns the integrator's
 /// stats.
 StepStats expect_matches_unlagged(CollisionOperatorBase& op, const Vec& f0, double dt,
                                   double e_z, const Vec* source = nullptr) {

@@ -69,7 +69,7 @@ TEST(SpitzerVerification, ComputedResistivityNearSpitzerZ1) {
   const double e_z = 5e-3; // small field: linear response regime
   NewtonOptions newton;
   newton.rtol = 1e-6;
-  auto res = measure_resistivity(op, e_z, 1.0, 40, 2e-3, LinearSolverKind::BandLU, newton);
+  auto res = measure_resistivity(op, e_z, 1.0, 40, 2e-3, newton);
   ASSERT_NE(res.eta, 0.0);
   EXPECT_GT(res.j_z, 0.0); // electrons drift against E: positive current
   const double eta_sp = spitzer_eta(1.0);

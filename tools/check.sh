@@ -77,8 +77,7 @@ with open(steps_path) as f:
 assert len(lines) >= 6, f"expected >= 6 step records, got {len(lines)}"
 for rec in lines:
     for key in ("kind", "step", "t", "dt", "newton_iterations", "factorizations",
-                "newton_contraction", "gmres_iterations_total", "rejections", "n_e",
-                "j_z", "e_z", "t_e", "phase"):
+                "newton_contraction", "rejections", "n_e", "j_z", "e_z", "t_e", "phase"):
         assert key in rec, f"step record missing '{key}': {rec}"
 # The lagged Newton matrix: each step factors at its first iteration and
 # reuses the LU while the residual contracts, so a run that factors at every
