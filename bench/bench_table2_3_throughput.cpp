@@ -70,13 +70,11 @@ int main(int argc, char** argv) {
       LandauOptions lopts = mesh;
       lopts.backend = be;
       LandauOperator op(species, lopts);
-      exec::KernelCounters counters;
       op.pack(op.maxwellian_state());
-      la::CsrMatrix j = op.new_matrix();
       // Before the first add_collision the context carries no table.
-      assemble_landau_jacobian(be, op.worker_pool(), op.make_context(0), j, &counters);
+      const double gpu_time =
+          static_cast<double>(landau_kernel_work(be, op.make_context(0)).flops) / 4.15e12;
       const auto ct = measure_components(op, steps);
-      const double gpu_time = static_cast<double>(counters.flops.load()) / 4.15e12;
       PaperCalibration cal{ct.total - ct.kernel + gpu_time, ct.landau, gpu_time, ct.factor,
                            ct.solve};
       std::printf("[host calibration %s] kernel %.3f ms (host %.3f ms), cpu %.3f ms/iter\n",

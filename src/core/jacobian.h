@@ -112,14 +112,26 @@ struct JacobianContext {
 
 /// Add the collision matrix C into J. J must have the context's layout
 /// (fem::ElementScatter::check_layout); the operator's new_matrix() has it.
+/// Adds landau_kernel_work(backend, ctx) to the landau:jacobian-kernel event.
 void assemble_landau_jacobian(Backend backend, exec::ThreadPool& pool,
-                              const JacobianContext& ctx, la::CsrMatrix& j,
-                              exec::KernelCounters* counters = nullptr);
+                              const JacobianContext& ctx, la::CsrMatrix& j);
 
 /// Add s * (cylindrical) mass matrix into every species block of J using the
 /// exec-model mass kernel (the paper's separately-profiled second kernel).
+/// Adds mass_kernel_work(ctx) to the landau:mass-kernel event.
 void assemble_mass_kernel(exec::ThreadPool& pool, const JacobianContext& ctx, double shift,
-                          la::CsrMatrix& j, exec::KernelCounters* counters = nullptr);
+                          la::CsrMatrix& j);
+
+/// The work of one Jacobian kernel launch on the context's grid. A pair
+/// counts its real source points only (padding is streamed, not computed):
+/// the recomputed tensor and accumulation, or the accumulation alone when
+/// the context has a table, whose 40 bytes a pair are then streamed too.
+/// cuda-sim and kokkos-sim count identically; the cpu reference forms a
+/// matrix per species and counts that.
+exec::KernelWork landau_kernel_work(Backend backend, const JacobianContext& ctx);
+
+/// The work of one mass kernel launch on the context's grid.
+exec::KernelWork mass_kernel_work(const JacobianContext& ctx);
 
 namespace detail {
 

@@ -10,8 +10,7 @@
 
 namespace landau::detail {
 
-void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
-                       exec::KernelCounters* counters) {
+void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j) {
   ScopedEvent ev("landau:jacobian-cpu", {{"cells", ctx.fes->n_cells()}});
   const auto& fes = *ctx.fes;
   const auto& tab = fes.tabulation();
@@ -51,7 +50,6 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
   for (int a = 0; a < ns; ++a) identity[static_cast<std::size_t>(a) * ns + a] = 1.0;
 
   for (std::size_t cell = 0; cell < fes.n_cells(); ++cell) {
-    exec::CounterScope scope(counters);
     tc.block = static_cast<int>(cell);
     const auto geom = fes.geometry(cell);
     ce.resize(ns, nb);
@@ -61,8 +59,6 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
       InnerAccum g;
       for (std::size_t jj = 0; jj < n; ++jj)
         inner_point(gr[gi], gz[gi], gr[jj], gz[jj], gw[jj], gsdfr[jj], gsdfz[jj], gsf[jj], &g);
-      scope.flops(static_cast<std::int64_t>(n) * inner_flops());
-      scope.dram(static_cast<std::int64_t>(n) * kInnerPointDoubles * 8);
       const PointCoeffs p = transform_point(g, geom.jinv[0], geom.jinv[1], gw[gi]);
       for (int a = 0; a < ns; ++a) {
         const int s = ctx.grid_species[static_cast<std::size_t>(a)];
@@ -70,7 +66,6 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
         coeffs[static_cast<std::size_t>(a * nq + i)] = {ck * p.kk_r, ck * p.kk_z, cd * p.dd00,
                                                         cd * p.dd01, cd * p.dd11};
       }
-      scope.flops(static_cast<std::int64_t>(ns) * 5);
     }
 
     // Transform & Assemble (Algorithm 1 line 23): contract with the element
@@ -90,9 +85,6 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
         }
       }
     }
-    scope.flops(static_cast<std::int64_t>(ns) * nq * nb * (8 + 5 * nb) +
-                static_cast<std::int64_t>(ns) * nb * nb * (2 * ns - 1));
-    scope.dram(static_cast<std::int64_t>(ns) * nb * nb * 8 * 2);
     fes.scatter().add(cell, ce.x, identity, ctx.block_offsets, j.values(), ctx.atomic_assembly,
                       gout.active() ? &gout : nullptr);
   }

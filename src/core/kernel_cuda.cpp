@@ -36,24 +36,19 @@ int reduction_lanes(int nq) {
 
 } // namespace
 
-void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::CsrMatrix& j,
-                        exec::KernelCounters* counters) {
+void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::CsrMatrix& j) {
   namespace check = exec::check;
   const auto& fes = *ctx.fes;
   const auto& tab = fes.tabulation();
   const auto& ip = *ctx.ip;
   const int nq = tab.n_quad();
   const int nb = tab.n_basis();
-  const int ns = ctx.n_grid_species();
   const auto coeff = ctx.coefficients(landau_coeffs);
-  const std::size_t n = ip.n;
   const std::size_t n_padded = ip.n_padded();
   const std::size_t n_chunks = n_padded / kIpChunk;
   const bool table = !ctx.tensor.empty();
   const exec::Dim3 block{reduction_lanes(nq), nq, 1};
   const std::size_t tile = kIpChunk * static_cast<std::size_t>(block.x);
-  // Per staged source point: w and the sums, plus r and z to recompute.
-  const int staged = table ? kSourceSumDoubles : kInnerPointDoubles;
 
   // Device-checker scope: register the packed IP arrays as inputs and the
   // assembly target as the concurrently-written output. Inactive (and free)
@@ -74,7 +69,6 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
   exec::launch(
       pool, static_cast<int>(fes.n_cells()), block,
       LANDAU_KERNEL [&](exec::Block& blk) {
-        exec::CounterScope scope(blk.counters());
         const auto cell = static_cast<std::size_t>(blk.block_idx());
         const auto geom = fes.geometry(cell);
 
@@ -125,7 +119,6 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
             }
           });
           blk.sync();
-          scope.dram(static_cast<std::int64_t>(tn) * staged * 8);
           // Each x-lane folds its eight consecutive points of the tile.
           blk.threads([&](exec::ThreadIdx t) {
             const auto k = kIpChunk * static_cast<std::size_t>(t.x);
@@ -144,12 +137,6 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
             }
           });
           blk.sync();
-          // Flops of the real pairs only: padding points are not work. The
-          // table streams every pair it stores.
-          const auto real = static_cast<std::int64_t>(std::min(tile, n - j0));
-          scope.flops(real * nq * (table ? kInnerAccumulateFlops : inner_flops()));
-          if (table) scope.dram(static_cast<std::int64_t>(tn) * nq * kTensorPairBytes);
-          scope.shared(static_cast<std::int64_t>(tn) * nq * staged * 8);
         }
 
         // Fold each thread's slots, then the warp-shuffle reduction across
@@ -186,15 +173,12 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
           }
         });
         blk.sync();
-        scope.flops(static_cast<std::int64_t>(total) * nq * kElementContractFlops +
-                    static_cast<std::int64_t>(ns) * total * kElementScaleFlops);
-        scope.dram(static_cast<std::int64_t>(ns) * total * 8 * 2);
 
         // Each grid species' block ck K_e + cd D_e, with atomics (§III-F).
         fes.scatter().add(cell, {ce.read_all(), ce.size()}, coeff, ctx.block_offsets, j.values(),
                           ctx.atomic_assembly, gout.active() ? &gout : nullptr);
       },
-      counters, &chk, "landau:jacobian-cuda");
+      &chk, "landau:jacobian-cuda");
   chk.finish();
 }
 

@@ -15,21 +15,16 @@
 
 namespace landau::detail {
 
-void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la::CsrMatrix& j,
-                          exec::KernelCounters* counters) {
+void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la::CsrMatrix& j) {
   namespace kk = exec::kokkos;
   const auto& fes = *ctx.fes;
   const auto& tab = fes.tabulation();
   const auto& ip = *ctx.ip;
   const int nq = tab.n_quad();
   const int nb = tab.n_basis();
-  const int ns = ctx.n_grid_species();
   const auto coeff = ctx.coefficients(landau_coeffs);
-  const std::size_t n = ip.n;
   const auto n_chunks = static_cast<int>(ip.n_padded() / kIpChunk);
   const bool table = !ctx.tensor.empty();
-  // Per streamed source point: w and the sums, plus r and z to recompute.
-  const int streamed_doubles = table ? kSourceSumDoubles : kInnerPointDoubles;
 
   const kk::TeamPolicy policy{static_cast<int>(fes.n_cells()), nq, 32};
 
@@ -48,7 +43,6 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
   kk::parallel_for(
       pool, policy,
       LANDAU_KERNEL [&](kk::TeamMember& member) {
-    exec::CounterScope scope(counters);
     const auto cell = static_cast<std::size_t>(member.league_rank());
     const auto geom = fes.geometry(cell);
 
@@ -91,12 +85,6 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
           transform_point(slots.fold(), geom.jinv[0], geom.jinv[1], gw[gi]);
     });
     member.team_barrier();
-    // Flops of the real pairs only; the padded stream is what moves.
-    const auto streamed = static_cast<std::int64_t>(n_chunks) * static_cast<std::int64_t>(kIpChunk);
-    scope.flops(static_cast<std::int64_t>(n) * nq * (table ? kInnerAccumulateFlops : inner_flops()));
-    scope.dram(streamed * streamed_doubles * 8); // per-member stream
-    if (table) scope.dram(streamed * nq * kTensorPairBytes);
-    scope.shared(streamed * nq * streamed_doubles * 8);
 
     // Transform & Assemble across the team: the entries of K_e and D_e.
     const int total = nb * nb;
@@ -110,9 +98,6 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
       });
     });
     member.team_barrier();
-    scope.flops(static_cast<std::int64_t>(total) * nq * kElementContractFlops +
-                static_cast<std::int64_t>(ns) * total * kElementScaleFlops);
-    scope.dram(static_cast<std::int64_t>(ns) * total * 8 * 2);
 
     fes.scatter().add(cell, {ce.read_all(), ce.size()}, coeff, ctx.block_offsets, j.values(),
                       ctx.atomic_assembly, gout.active() ? &gout : nullptr);

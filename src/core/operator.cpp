@@ -250,8 +250,11 @@ void LandauOperator::add_collision(la::CsrMatrix& j, exec::KernelCounters* count
   LANDAU_ASSERT(ip_.n > 0, "pack() a state before assembling the collision operator");
   ScopedEvent ev("landau:matrix");
   build_pair_tables();
-  for (int g = 0; g < n_grids(); ++g)
-    assemble_landau_jacobian(opts_.backend, *pool_, make_context(g), j, counters);
+  for (int g = 0; g < n_grids(); ++g) {
+    const JacobianContext ctx = make_context(g);
+    assemble_landau_jacobian(opts_.backend, *pool_, ctx, j);
+    if (counters) counters->add(landau_kernel_work(opts_.backend, ctx));
+  }
   if (robustness().paranoid)
     LANDAU_ASSERT(j.all_finite(),
                   "paranoid: non-finite entries in the assembled collision matrix");
@@ -262,11 +265,9 @@ void LandauOperator::add_advection(la::CsrMatrix& j, double e_z) const {
   for (int g = 0; g < n_grids(); ++g) assemble_advection(make_context(g), e_z, j);
 }
 
-void LandauOperator::add_mass_kernel(la::CsrMatrix& j, double shift,
-                                     exec::KernelCounters* counters) {
+void LandauOperator::add_mass_kernel(la::CsrMatrix& j, double shift) {
   LANDAU_ASSERT(ip_.n > 0, "pack() a state before the mass kernel (weights live in IP data)");
-  for (int g = 0; g < n_grids(); ++g)
-    assemble_mass_kernel(*pool_, make_context(g), shift, j, counters);
+  for (int g = 0; g < n_grids(); ++g) assemble_mass_kernel(*pool_, make_context(g), shift, j);
 }
 
 LandauOperator::Moments LandauOperator::moments(const la::Vec& state, int s) const {

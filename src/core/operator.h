@@ -141,6 +141,7 @@ public:
   /// (quasi-Newton Jacobian contribution and exact residual matrix). The
   /// first call on the cuda-sim or kokkos-sim back-end builds the grids'
   /// pair-tensor tables, unless they would exceed kPairTableBudgetBytes.
+  /// `counters`, when given, also receives every grid's landau_kernel_work.
   void add_collision(la::CsrMatrix& j, exec::KernelCounters* counters = nullptr) override;
 
   /// The kernel context of grid g, as add_collision passes it to
@@ -151,8 +152,7 @@ public:
   void add_advection(la::CsrMatrix& j, double e_z) const override;
 
   /// J += shift * M via the exec-model mass kernel (Table IV's second kernel).
-  void add_mass_kernel(la::CsrMatrix& j, double shift,
-                       exec::KernelCounters* counters = nullptr);
+  void add_mass_kernel(la::CsrMatrix& j, double shift);
 
   // --- moments (normalized units; mass-weighted where physical) -----------
   struct Moments {

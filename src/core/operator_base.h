@@ -27,7 +27,9 @@ public:
   /// Pack integration-point data from a state (device inputs of Algorithm 1).
   virtual void pack(const la::Vec& state) = 0;
 
-  /// J += C(f_packed), the frozen-coefficient collision operator.
+  /// J += C(f_packed), the frozen-coefficient collision operator. Each
+  /// kernel launch adds its work to its own profiler event; `counters`, when
+  /// given, receives the same flops and bytes.
   virtual void add_collision(la::CsrMatrix& j, exec::KernelCounters* counters = nullptr) = 0;
 
   /// J += A, the E-field advection blocks.

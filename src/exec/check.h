@@ -45,7 +45,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "exec/counters.h"
 #include "exec/thread_pool.h"
 
 namespace landau::exec::check {
@@ -438,11 +437,9 @@ private:
 /// Run `run_one(i)` for i in [0, n) over the pool — and, when the shuffler is
 /// enabled and the scope is active, re-run the whole grid in a seeded random
 /// block order and diff the registered writable global buffers to flag
-/// order-dependent kernels. Kernel counters are restored so instrumented
-/// flop/byte counts are not double-counted by the second run.
-template <class F>
-void run_grid(ThreadPool& pool, std::size_t n, KernelScope* chk, KernelCounters* counters,
-              F&& run_one) {
+/// order-dependent kernels. Kernel work is counted once per launch by its
+/// entry point, outside the grid, so the replay adds none.
+template <class F> void run_grid(ThreadPool& pool, std::size_t n, KernelScope* chk, F&& run_one) {
   if (!chk || !chk->active() || !options().shuffle) {
     pool.parallel_for(n, run_one);
     return;
@@ -451,22 +448,11 @@ void run_grid(ThreadPool& pool, std::size_t n, KernelScope* chk, KernelCounters*
   s->save_preimages();
   pool.parallel_for(n, run_one);
   s->snapshot_results();
-  std::int64_t flops = 0, dram = 0, shared = 0;
-  if (counters) {
-    flops = counters->flops.load();
-    dram = counters->dram_bytes.load();
-    shared = counters->shared_bytes.load();
-  }
   s->restore_preimages();
   s->reset_shadow();
   ScheduleShuffler shuffler(options().shuffle_seed);
   const auto perm = shuffler.permutation(n);
   pool.parallel_for(n, [&](std::size_t i) { run_one(perm[i]); });
-  if (counters) {
-    counters->flops.store(flops);
-    counters->dram_bytes.store(dram);
-    counters->shared_bytes.store(shared);
-  }
   s->diff_schedules();
 }
 

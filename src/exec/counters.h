@@ -1,73 +1,39 @@
 #pragma once
-// FLOP/byte instrumentation threaded through the compute kernels. The
-// roofline bench (paper Table IV) derives arithmetic intensity from these
-// counters instead of NSight Compute hardware metrics: AI is a property of
-// the algorithm and reproduces exactly in emulation.
+// Kernel work: the flops and DRAM bytes of one kernel launch. The roofline
+// bench (paper Table IV) derives arithmetic intensity from these instead of
+// NSight Compute hardware metrics: AI is a property of the algorithm and
+// reproduces exactly in emulation.
 //
-// Counting is opt-in per kernel launch (pass nullptr to disable) and the
-// accounting calls are cheap relaxed atomics, so instrumented runs remain
-// usable for timing sanity checks (though reported times exclude them).
+// A kernel's work is a function of its launch shape (cells, points, basis
+// size, species, band shape), so each entry point computes it once per
+// launch in closed form, beside the kernel it counts, and adds it to its own
+// profiler event with Profiler::add_work, in every run. The kernel bodies
+// count nothing.
 //
-// Counting contract: every operation — adds and reset() alike — uses relaxed
-// ordering. The counters are plain accumulators with no acquire/release
-// pairing; readers that need a coherent snapshot must impose their own
-// happens-before edge (in practice: read after ThreadPool::wait() has joined
-// the kernel, which synchronizes-with the workers). Calling reset()
-// concurrently with an in-flight kernel yields an undefined mix of old and
-// new contributions — reset only between launches.
+// KernelCounters is an optional caller-side sink for the same values
+// (CollisionOperatorBase::add_collision fills it). Its adds are relaxed
+// atomics: read it after the call returns.
 
 #include <atomic>
 #include <cstdint>
 
 namespace landau::exec {
 
-/// Accumulators for one kernel's device-side work.
-struct KernelCounters {
-  std::atomic<std::int64_t> flops{0};
-  std::atomic<std::int64_t> dram_bytes{0};   // global-memory traffic (SoA loads/stores)
-  std::atomic<std::int64_t> shared_bytes{0}; // shared-memory traffic
-
-  void add_flops(std::int64_t n) { flops.fetch_add(n, std::memory_order_relaxed); }
-  void add_dram(std::int64_t n) { dram_bytes.fetch_add(n, std::memory_order_relaxed); }
-  void add_shared(std::int64_t n) { shared_bytes.fetch_add(n, std::memory_order_relaxed); }
-
-  void reset() {
-    flops.store(0, std::memory_order_relaxed);
-    dram_bytes.store(0, std::memory_order_relaxed);
-    shared_bytes.store(0, std::memory_order_relaxed);
-  }
-
-  /// Arithmetic intensity w.r.t. DRAM traffic (flops per byte).
-  double arithmetic_intensity() const {
-    const auto b = dram_bytes.load();
-    return b > 0 ? static_cast<double>(flops.load()) / static_cast<double>(b) : 0.0;
-  }
+/// The flops and global-memory traffic of one launch.
+struct KernelWork {
+  std::int64_t flops = 0;
+  std::int64_t dram_bytes = 0;
 };
 
-/// Per-call-site helper: counts only when the target is non-null.
-class CounterScope {
-public:
-  explicit CounterScope(KernelCounters* c) : c_(c) {}
-  void flops(std::int64_t n) {
-    if (c_) f_ += n;
-  }
-  void dram(std::int64_t n) {
-    if (c_) d_ += n;
-  }
-  void shared(std::int64_t n) {
-    if (c_) s_ += n;
-  }
-  ~CounterScope() {
-    if (c_) {
-      c_->add_flops(f_);
-      c_->add_dram(d_);
-      c_->add_shared(s_);
-    }
-  }
+/// Accumulated work of the launches a caller asked to be told about.
+struct KernelCounters {
+  std::atomic<std::int64_t> flops{0};
+  std::atomic<std::int64_t> dram_bytes{0};
 
-private:
-  KernelCounters* c_;
-  std::int64_t f_ = 0, d_ = 0, s_ = 0;
+  void add(KernelWork w) {
+    flops.fetch_add(w.flops, std::memory_order_relaxed);
+    dram_bytes.fetch_add(w.dram_bytes, std::memory_order_relaxed);
+  }
 };
 
 } // namespace landau::exec

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "exec/check.h"
-#include "exec/counters.h"
 #include "exec/thread_pool.h"
 #include "util/error.h"
 #include "util/profiler.h"
@@ -89,14 +88,13 @@ struct ThreadIdx {
 /// Execution context of one thread block.
 class Block {
 public:
-  Block(int block_id, Dim3 grid_dim, Dim3 block_dim, KernelCounters* counters)
-      : block_id_(block_id), grid_dim_(grid_dim), block_dim_(block_dim), counters_(counters) {}
+  Block(int block_id, Dim3 grid_dim, Dim3 block_dim)
+      : block_id_(block_id), grid_dim_(grid_dim), block_dim_(block_dim) {}
 
   int block_idx() const { return block_id_; }
   Dim3 grid_dim() const { return grid_dim_; }
   Dim3 block_dim() const { return block_dim_; }
   int num_threads() const { return block_dim_.size(); }
-  KernelCounters* counters() const { return counters_; }
 
   /// Bind this block to an active checker session (set up by launch()).
   void bind_check(check::KernelSession* session) {
@@ -188,7 +186,6 @@ public:
 private:
   int block_id_;
   Dim3 grid_dim_, block_dim_;
-  KernelCounters* counters_;
   Arena shared_;
   Arena regs_;
   check::ThreadCtx chk_;
@@ -199,13 +196,12 @@ private:
 /// launch's profiler event and trace span (nullptr = generic label).
 template <class Kernel>
 void launch(ThreadPool& pool, int grid_size, Dim3 block_dim, Kernel&& kernel,
-            KernelCounters* counters = nullptr, check::KernelScope* chk = nullptr,
-            const char* name = nullptr) {
+            check::KernelScope* chk = nullptr, const char* name = nullptr) {
   ScopedEvent ev(name ? name : "exec:launch",
                  {{"grid", grid_size}, {"block_x", block_dim.x}, {"block_y", block_dim.y}});
   const Dim3 grid{grid_size, 1, 1};
-  check::run_grid(pool, static_cast<std::size_t>(grid_size), chk, counters, [&](std::size_t b) {
-    Block blk(static_cast<int>(b), grid, block_dim, counters);
+  check::run_grid(pool, static_cast<std::size_t>(grid_size), chk, [&](std::size_t b) {
+    Block blk(static_cast<int>(b), grid, block_dim);
     if (chk && chk->active()) blk.bind_check(chk->session());
     kernel(blk);
   });

@@ -139,12 +139,11 @@ void parallel_for(ThreadPool& pool, const TeamPolicy& policy, Functor&& functor,
                  {{"league", policy.league_size},
                   {"team", policy.team_size},
                   {"vector", policy.vector_length}});
-  check::run_grid(pool, static_cast<std::size_t>(policy.league_size), chk, nullptr,
-                  [&](std::size_t rank) {
-                    TeamMember member(static_cast<int>(rank), policy);
-                    if (chk && chk->active()) member.bind_check(chk->session());
-                    functor(member);
-                  });
+  check::run_grid(pool, static_cast<std::size_t>(policy.league_size), chk, [&](std::size_t rank) {
+    TeamMember member(static_cast<int>(rank), policy);
+    if (chk && chk->active()) member.bind_check(chk->session());
+    functor(member);
+  });
 }
 
 } // namespace landau::exec::kokkos

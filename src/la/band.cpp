@@ -158,12 +158,11 @@ template <class V>
   for (; i < iend; ++i) row_update<V>(a, i, i > k0 + a.lbw ? i - a.lbw : k0, k1, k1);
 }
 
-template <class V> [[gnu::always_inline]] inline std::int64_t factor_blocked(BandMatrix& band) {
+template <class V> [[gnu::always_inline]] inline void factor_blocked(BandMatrix& band) {
   const std::size_t n = band.size();
-  if (n == 0) return 0; // empty storage may have no address to offset
+  if (n == 0) return; // empty storage may have no address to offset
   const std::size_t lbw = band.lower_bandwidth(), ubw = band.upper_bandwidth();
   const Rows a{band.data().data() + lbw, lbw + ubw, n, lbw, ubw};
-  std::int64_t flops = 0;
   for (std::size_t k0 = 0; k0 < n; k0 += kPanel) {
     const std::size_t k1 = std::min(n, k0 + kPanel);
     for (std::size_t k = k0; k < k1; ++k) {
@@ -176,8 +175,6 @@ template <class V> [[gnu::always_inline]] inline std::int64_t factor_blocked(Ban
       const double inv = 1.0 / piv;
       const std::size_t iend = std::min(n, k + lbw + 1);
       const std::size_t jend = std::min(n, k + ubw + 1);
-      flops += static_cast<std::int64_t>(iend - k - 1) *
-               (1 + 2 * static_cast<std::int64_t>(jend - k - 1));
       const std::size_t jpanel = std::min(jend, k1);
       for (std::size_t i = k + 1; i < iend; ++i) {
         double* ai = a.row(i);
@@ -190,18 +187,17 @@ template <class V> [[gnu::always_inline]] inline std::int64_t factor_blocked(Ban
       row_update<V>(a, i, i > k0 + lbw ? i - lbw : k0, i, k1);
     if (k1 - k0 == kPanel) trailing_update<V>(a, k0);
   }
-  return flops;
 }
 
-std::int64_t factor_w2(BandMatrix& band) { return factor_blocked<lanes::f64x2>(band); }
+void factor_w2(BandMatrix& band) { factor_blocked<lanes::f64x2>(band); }
 
 #if defined(__x86_64__)
-__attribute__((target("avx2"))) std::int64_t factor_w4(BandMatrix& band) {
-  return factor_blocked<lanes::f64x4>(band);
+__attribute__((target("avx2"))) void factor_w4(BandMatrix& band) {
+  factor_blocked<lanes::f64x4>(band);
 }
 #endif
 
-using FactorFn = std::int64_t (*)(BandMatrix&);
+using FactorFn = void (*)(BandMatrix&);
 
 FactorFn factor_at_width(int width) {
   switch (width) {
@@ -217,13 +213,21 @@ FactorFn factor_at_width(int width) {
 
 } // namespace
 
-std::int64_t BandMatrix::factor_lu() {
+void BandMatrix::factor_lu() {
   static const FactorFn fn = factor_at_width(simd_width());
-  return fn(*this);
+  fn(*this);
 }
 
-std::int64_t detail::factor_lu_at_width(BandMatrix& a, int width) {
-  return factor_at_width(width)(a);
+void detail::factor_lu_at_width(BandMatrix& a, int width) { factor_at_width(width)(a); }
+
+std::int64_t BandMatrix::factor_flops() const {
+  std::int64_t flops = 0;
+  for (std::size_t k = 0; k < n_; ++k) {
+    const auto rows = static_cast<std::int64_t>(std::min(n_ - 1, k + lbw_) - k);
+    const auto cols = static_cast<std::int64_t>(std::min(n_ - 1, k + ubw_) - k);
+    flops += rows * (1 + 2 * cols);
+  }
+  return flops;
 }
 
 void BandMatrix::solve(const Vec& b, Vec& x) const {
@@ -360,7 +364,6 @@ void BlockBandSolver::analyze(const CsrMatrix& a) {
   blocks_.assign(ranges.size(), BandBlock());
   for (std::size_t bi = 0; bi < ranges.size(); ++bi)
     blocks_[bi].analyze(a, perm_, inv_, ranges[bi]);
-  flops_scratch_.assign(blocks_.size(), 0);
   factor_event_ = Profiler::instance().event_id("landau:factor");
   solve_event_ = Profiler::instance().event_id("landau:solve");
   ++analysis_count_;
@@ -370,7 +373,6 @@ void BlockBandSolver::invalidate() {
   perm_.clear();
   inv_.clear();
   blocks_.clear();
-  flops_scratch_.clear();
   bandwidth_ = 0;
 }
 
@@ -381,15 +383,15 @@ void BlockBandSolver::factor(const CsrMatrix& a) {
   // independently; on a GPU each would occupy one or more SMs.
   dispatch_blocks(pool_, blocks_.size(), [this, &a](std::size_t bi) {
     blocks_[bi].load(a);
-    flops_scratch_[bi] = blocks_[bi].lu().factor_lu();
+    blocks_[bi].lu().factor_lu();
   });
   std::int64_t flops = 0, bytes = 0;
-  for (std::size_t bi = 0; bi < blocks_.size(); ++bi) {
-    flops += flops_scratch_[bi];
+  for (const auto& blk : blocks_) {
+    flops += blk.lu().factor_flops();
     // Value scatter reads the block's CSR values once; the in-place LU
     // streams the band storage through once more (read + write).
-    bytes += static_cast<std::int64_t>(blocks_[bi].nnz()) * 8 +
-             static_cast<std::int64_t>(blocks_[bi].lu().data().size()) * 8 * 2;
+    bytes += static_cast<std::int64_t>(blk.nnz()) * 8 +
+             static_cast<std::int64_t>(blk.lu().data().size()) * 8 * 2;
   }
   Profiler::instance().add_work(factor_event_, flops, bytes);
 }

@@ -71,10 +71,13 @@ public:
   /// In-place LU factorization without pivoting: blocked in 8-column panels
   /// with SIMD register tiles at simd_width(), giving bit for bit the factors
   /// of the outer-product form (device_band_factor). Throws landau::Error on
-  /// a zero, NaN or non-finite pivot, naming its row. Returns the flop count
-  /// of the outer-product form, sum over k of (imax-k)(1 + 2(jmax-k)).
-  /// Allocates nothing.
-  std::int64_t factor_lu();
+  /// a zero, NaN or non-finite pivot, naming its row. Allocates nothing;
+  /// factor_flops() is its work.
+  void factor_lu();
+
+  /// Flop count of one factor_lu() (the outer-product form): the sum over
+  /// pivots k of (imax-k)(1 + 2(jmax-k)), a function of the shape only.
+  std::int64_t factor_flops() const;
 
   /// Solve LU x = b after factor_lu(); b and x may alias.
   void solve(const Vec& b, Vec& x) const;
@@ -95,7 +98,7 @@ private:
 namespace detail {
 /// BandMatrix::factor_lu at an explicit lane width: 2, or 4 (needs AVX2).
 /// For tests; the factors come out bitwise the same at every width.
-std::int64_t factor_lu_at_width(BandMatrix& a, int width);
+void factor_lu_at_width(BandMatrix& a, int width);
 } // namespace detail
 
 /// One diagonal block of the permuted matrix: rows [begin, end) in the
@@ -202,7 +205,6 @@ private:
   std::vector<std::int32_t> perm_; // perm[new] = old
   std::vector<std::int32_t> inv_;
   std::vector<BandBlock> blocks_;
-  std::vector<std::int64_t> flops_scratch_; // per-block factor flops
   std::size_t bandwidth_ = 0;
   long analysis_count_ = 0;
   int factor_event_ = -1, solve_event_ = -1; // cached profiler ids

@@ -10,9 +10,9 @@
 
 namespace landau::la {
 
-void device_band_factor(exec::ThreadPool& pool, std::span<BandMatrix*> systems,
-                        exec::KernelCounters* counters) {
+void device_band_factor(exec::ThreadPool& pool, std::span<BandMatrix*> systems) {
   namespace check = exec::check;
+  static const int event = Profiler::instance().event_id("la:band-factor");
   const exec::Dim3 block{64, 1, 1};
   // Each block factors its own matrix, so the checker sees per-block-disjoint
   // global buffers; the refs vector exists only in checked mode — the clean
@@ -26,7 +26,6 @@ void device_band_factor(exec::ThreadPool& pool, std::span<BandMatrix*> systems,
   exec::launch(
       pool, static_cast<int>(systems.size()), block,
       LANDAU_KERNEL [&](exec::Block& blk) {
-        exec::CounterScope scope(blk.counters());
         BandMatrix& a = *systems[static_cast<std::size_t>(blk.block_idx())];
         check::checked_span<double> av =
             arefs.empty() ? check::checked_span<double>(a.data())
@@ -55,18 +54,24 @@ void device_band_factor(exec::ThreadPool& pool, std::span<BandMatrix*> systems,
             }
           });
           blk.sync(); // grid-group sync in the hardware version (§III-G)
-          scope.flops(static_cast<std::int64_t>(imax - k) * (1 + 2 * static_cast<std::int64_t>(jmax - k)));
         }
-        scope.dram(static_cast<std::int64_t>(n) * static_cast<std::int64_t>(lbw + ubw + 1) * 8 * 2);
       },
-      counters, &chk, "la:band-factor");
+      &chk, "la:band-factor");
   chk.finish();
+  // Each system's band is read and written once.
+  std::int64_t flops = 0, bytes = 0;
+  for (const BandMatrix* m : systems) {
+    flops += m->factor_flops();
+    bytes += static_cast<std::int64_t>(m->data().size()) * 8 * 2;
+  }
+  Profiler::instance().add_work(event, flops, bytes);
 }
 
 void device_band_solve(exec::ThreadPool& pool, std::span<BandMatrix* const> systems,
-                       std::span<Vec*> x, exec::KernelCounters* counters) {
+                       std::span<Vec*> x) {
   LANDAU_ASSERT(systems.size() == x.size(), "batch size mismatch");
   namespace check = exec::check;
+  static const int event = Profiler::instance().event_id("la:band-solve");
   const exec::Dim3 block{32, 1, 1};
   check::KernelScope chk("la:band-solve");
   std::vector<check::BufferRef<const double>> arefs;
@@ -81,7 +86,6 @@ void device_band_solve(exec::ThreadPool& pool, std::span<BandMatrix* const> syst
   exec::launch(
       pool, static_cast<int>(systems.size()), block,
       LANDAU_KERNEL [&](exec::Block& blk) {
-        exec::CounterScope scope(blk.counters());
         const auto b = static_cast<std::size_t>(blk.block_idx());
         const BandMatrix& a = *systems[b];
         Vec& vv = *x[b];
@@ -127,12 +131,17 @@ void device_band_solve(exec::ThreadPool& pool, std::span<BandMatrix* const> syst
           });
           blk.sync();
         }
-        scope.flops(static_cast<std::int64_t>(n) * static_cast<std::int64_t>(lbw + ubw + 2) * 2);
-        scope.dram(static_cast<std::int64_t>(n) * static_cast<std::int64_t>(lbw + ubw + 1) * 8 +
-                   static_cast<std::int64_t>(n) * 8 * 3);
       },
-      counters, &chk, "la:band-solve");
+      &chk, "la:band-solve");
   chk.finish();
+  // The band is read once, the right-hand side read, updated and written.
+  std::int64_t flops = 0, bytes = 0;
+  for (const BandMatrix* m : systems) {
+    flops += m->solve_flops();
+    bytes += static_cast<std::int64_t>(m->data().size()) * 8 +
+             static_cast<std::int64_t>(m->size()) * 8 * 3;
+  }
+  Profiler::instance().add_work(event, flops, bytes);
 }
 
 void DeviceBlockBandSolver::analyze(const CsrMatrix& a) {
@@ -150,8 +159,6 @@ void DeviceBlockBandSolver::analyze(const CsrMatrix& a) {
     mats_[bi] = &blocks_[bi].lu();
     rhs_[bi] = &blocks_[bi].rhs();
   }
-  factor_event_ = Profiler::instance().event_id("landau:factor");
-  solve_event_ = Profiler::instance().event_id("landau:solve");
   ++analysis_count_;
 }
 
@@ -166,28 +173,19 @@ void DeviceBlockBandSolver::invalidate() {
 void DeviceBlockBandSolver::factor(const CsrMatrix& a) {
   LANDAU_ASSERT(analyzed(), "call analyze() before factor()");
   LANDAU_ASSERT(a.rows() == perm_.size(), "matrix size changed since analyze()");
-  const std::int64_t flops0 = counters_.flops.load();
-  const std::int64_t dram0 = counters_.dram_bytes.load();
   // Host-side value scatter through the cached maps (no band-width
   // rediscovery, no allocation), then one batched device launch.
   for (auto& blk : blocks_) blk.load(a);
-  device_band_factor(*pool_, {mats_.data(), mats_.size()}, &counters_);
-  Profiler::instance().add_work(factor_event_, counters_.flops.load() - flops0,
-                                counters_.dram_bytes.load() - dram0);
+  device_band_factor(*pool_, {mats_.data(), mats_.size()});
 }
 
 void DeviceBlockBandSolver::solve(const Vec& b, Vec& x) {
   LANDAU_ASSERT(analyzed(), "call analyze() before solve()");
   LANDAU_ASSERT(b.size() == perm_.size() && x.size() == perm_.size(), "solve size mismatch");
-  const std::int64_t flops0 = counters_.flops.load();
-  const std::int64_t dram0 = counters_.dram_bytes.load();
   for (auto& blk : blocks_) blk.gather_rhs(b, perm_);
-  device_band_solve(*pool_, {mats_.data(), mats_.size()}, {rhs_.data(), rhs_.size()},
-                    &counters_);
+  device_band_solve(*pool_, {mats_.data(), mats_.size()}, {rhs_.data(), rhs_.size()});
   // Scatter back after all solves so x may alias b.
   for (auto& blk : blocks_) blk.scatter_solution(x, perm_);
-  Profiler::instance().add_work(solve_event_, counters_.flops.load() - flops0,
-                                counters_.dram_bytes.load() - dram0);
 }
 
 } // namespace landau::la

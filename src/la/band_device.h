@@ -13,13 +13,13 @@
 //    and combined with the warp-shuffle butterfly.
 //
 // This outer-product form is the oracle of the host factor: the blocked
-// BandMatrix::factor_lu must give the same factors bit for bit, and the same
-// flop count.
+// BandMatrix::factor_lu must give the same factors bit for bit. Each launch
+// adds the batch's BandMatrix::factor_flops() or solve_flops() and its band
+// traffic to its profiler event, la:band-factor or la:band-solve.
 
 #include <span>
 #include <vector>
 
-#include "exec/counters.h"
 #include "exec/cuda_sim.h"
 #include "exec/thread_pool.h"
 #include "la/band.h"
@@ -30,13 +30,12 @@ namespace landau::la {
 
 /// Factor a batch of band matrices in place, one emulated thread block per
 /// system.
-void device_band_factor(exec::ThreadPool& pool, std::span<BandMatrix*> systems,
-                        exec::KernelCounters* counters = nullptr);
+void device_band_factor(exec::ThreadPool& pool, std::span<BandMatrix*> systems);
 
 /// Solve the factored systems against their right-hand sides (in place:
 /// x[i] enters as b and leaves as the solution).
 void device_band_solve(exec::ThreadPool& pool, std::span<BandMatrix* const> systems,
-                       std::span<Vec*> x, exec::KernelCounters* counters = nullptr);
+                       std::span<Vec*> x);
 
 /// Drop-in replacement for BlockBandSolver running factor/solve through the
 /// device model: RCM analysis on the host (amortized metadata, §III-F), then
@@ -58,9 +57,6 @@ public:
   bool analyzed() const { return !perm_.empty(); }
   long analysis_count() const { return analysis_count_; }
 
-  /// Device-side work counters accumulated over factor()/solve() calls.
-  const exec::KernelCounters& counters() const { return counters_; }
-
 private:
   exec::ThreadPool* pool_;
   std::vector<std::int32_t> perm_;
@@ -68,9 +64,7 @@ private:
   std::vector<BandBlock> blocks_;
   std::vector<BandMatrix*> mats_; // persistent batch views into blocks_
   std::vector<Vec*> rhs_;
-  exec::KernelCounters counters_;
   long analysis_count_ = 0;
-  int factor_event_ = -1, solve_event_ = -1;
 };
 
 } // namespace landau::la

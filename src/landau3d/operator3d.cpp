@@ -182,7 +182,7 @@ void Landau3DOperator::pack(const la::Vec& state) {
                                 static_cast<std::int64_t>(n) * (4 * ns + 4) * 8);
 }
 
-void Landau3DOperator::kernel_cpu(la::CsrMatrix& j, exec::KernelCounters* counters) const {
+void Landau3DOperator::kernel_cpu(la::CsrMatrix& j) const {
   namespace check = exec::check;
   const int nq = space_.tabulation().n_quad();
   const auto nb = static_cast<std::size_t>(space_.tabulation().n_basis());
@@ -211,7 +211,6 @@ void Landau3DOperator::kernel_cpu(la::CsrMatrix& j, exec::KernelCounters* counte
   std::vector<Accum3> g(static_cast<std::size_t>(nq));
   std::vector<double> ce(2 * nb * nb);
   for (std::size_t cell = 0; cell < space_.n_cells(); ++cell) {
-    exec::CounterScope scope(counters);
     tc.block = static_cast<int>(cell);
     const Source3 all{gx.read_ptr(0, n),    gy.read_ptr(0, n),    gz.read_ptr(0, n),
                       gw.read_ptr(0, n),    gsdfx.read_ptr(0, n), gsdfy.read_ptr(0, n),
@@ -221,8 +220,6 @@ void Landau3DOperator::kernel_cpu(la::CsrMatrix& j, exec::KernelCounters* counte
       const double vi[3] = {gx[i0 + i], gy[i0 + i], gz[i0 + i]};
       g[i] = inner_integral3(vi, all, n);
     }
-    scope.flops(static_cast<std::int64_t>(nq) * static_cast<std::int64_t>(n) * kInnerFlops3);
-    scope.dram(static_cast<std::int64_t>(n) * kInnerPointDoubles3 * 8);
     element_matrices_3d(space_, g, {gw.read_ptr(i0, g.size()), g.size()}, ce);
     space_.scatter().add(cell, ce, coeff_, value_offsets_, j.values(), false,
                          gout.active() ? &gout : nullptr);
@@ -230,7 +227,7 @@ void Landau3DOperator::kernel_cpu(la::CsrMatrix& j, exec::KernelCounters* counte
   chk.finish();
 }
 
-void Landau3DOperator::kernel_cuda(la::CsrMatrix& j, exec::KernelCounters* counters) const {
+void Landau3DOperator::kernel_cuda(la::CsrMatrix& j) const {
   namespace check = exec::check;
   const int nq = space_.tabulation().n_quad();
   const auto nb = static_cast<std::size_t>(space_.tabulation().n_basis());
@@ -255,7 +252,6 @@ void Landau3DOperator::kernel_cuda(la::CsrMatrix& j, exec::KernelCounters* count
   exec::launch(
       *pool_, static_cast<int>(space_.n_cells()), block,
       LANDAU_KERNEL [&](exec::Block& blk) {
-        exec::CounterScope scope(blk.counters());
         const auto cell = static_cast<std::size_t>(blk.block_idx());
         auto gx = blk.view(ref_x);
         auto gy = blk.view(ref_y);
@@ -281,8 +277,6 @@ void Landau3DOperator::kernel_cuda(la::CsrMatrix& j, exec::KernelCounters* count
           *regs.write_ptr(static_cast<std::size_t>(t.flat)) = inner_integral3(vi, share, m);
         });
         blk.shfl_xor_sum_x(regs);
-        scope.flops(static_cast<std::int64_t>(nq) * static_cast<std::int64_t>(n) * kInnerFlops3);
-        scope.dram(static_cast<std::int64_t>(n) * kInnerPointDoubles3 * 8);
 
         auto g = blk.shared<Accum3>(static_cast<std::size_t>(nq), "epi.g");
         blk.threads([&](exec::ThreadIdx t) {
@@ -298,18 +292,27 @@ void Landau3DOperator::kernel_cuda(la::CsrMatrix& j, exec::KernelCounters* count
         space_.scatter().add(cell, {ce.read_all(), ce.size()}, coeff_, value_offsets_,
                              j.values(), true, gout.active() ? &gout : nullptr);
       },
-      counters, &chk, "landau3d:jacobian-cuda");
+      &chk, "landau3d:jacobian-cuda");
   chk.finish();
 }
 
 void Landau3DOperator::add_collision(la::CsrMatrix& j, exec::KernelCounters* counters) {
   LANDAU_ASSERT(ip_.n > 0, "pack() a state before assembling the collision operator");
   space_.scatter().check_layout(j, n_total(), mass_.nnz(), value_offsets_);
-  ScopedEvent ev("landau3d:matrix");
+  static const int event = Profiler::instance().event_id("landau3d:matrix");
+  ScopedEvent ev(event);
   if (opts_.backend == Backend::Cpu)
-    kernel_cpu(j, counters);
+    kernel_cpu(j);
   else
-    kernel_cuda(j, counters);
+    kernel_cuda(j);
+  // Both kernels integrate every cell point against every source point once
+  // and stream the source arrays once per cell.
+  const auto cells = static_cast<std::int64_t>(space_.n_cells());
+  const auto nq = static_cast<std::int64_t>(space_.tabulation().n_quad());
+  const auto n = static_cast<std::int64_t>(ip_.n);
+  const exec::KernelWork w{cells * nq * n * kInnerFlops3, cells * n * kInnerPointDoubles3 * 8};
+  Profiler::instance().add_work(event, w.flops, w.dram_bytes);
+  if (counters) counters->add(w);
 }
 
 void Landau3DOperator::add_advection(la::CsrMatrix& j, double e_z) const {

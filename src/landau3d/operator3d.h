@@ -77,8 +77,8 @@ public:
   Moments moments(const la::Vec& state, int s) const;
 
 private:
-  void kernel_cpu(la::CsrMatrix& j, exec::KernelCounters* counters) const;
-  void kernel_cuda(la::CsrMatrix& j, exec::KernelCounters* counters) const;
+  void kernel_cpu(la::CsrMatrix& j) const;
+  void kernel_cuda(la::CsrMatrix& j) const;
 
   SpeciesSet species_;
   Landau3DOptions opts_;

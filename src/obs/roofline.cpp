@@ -23,7 +23,10 @@ double seconds_since(clock::time_point t0) {
 /// FP64 multiply-add throughput at lane type V: eight independent chains of
 /// W doubles, so the loop is throughput-limited (not latency-limited),
 /// repeated until the budget is spent. The compiler cannot fold the chains —
-/// the multiplier is read from a volatile.
+/// the multiplier is read from a volatile. The chain loop is unrolled so the
+/// eight accumulators live in registers: a loop over the array would keep
+/// them in memory, and a load and store per step would time the memory
+/// pipeline (and the loop's code placement), not the FP units.
 template <class V>
 [[gnu::always_inline]] inline double multiply_add_gflops(double budget_seconds) {
   constexpr int W = lanes::kWidth<V>;
@@ -38,6 +41,7 @@ template <class V>
   double elapsed = 0.0;
   do {
     for (int i = 0; i < kInner; ++i)
+#pragma GCC unroll 8
       for (V& a : acc) a = a * m + b;
     flops += 2ll * kInner * 8 * W; // one mul + one add per lane and chain step
     elapsed = seconds_since(t0);
@@ -153,43 +157,6 @@ std::string roofline_report(const std::vector<RooflineEntry>& entries, const Mac
         .cell(100.0 * d.attainable_fraction, 0);
   }
   return table.str();
-}
-
-JsonValue roofline_json(const std::vector<RooflineEntry>& entries, const MachinePeaks& host,
-                        const exec::DeviceSpec& device) {
-  JsonValue out = JsonValue::object();
-  JsonValue hostj = JsonValue::object();
-  hostj.set("simd_variant", host.simd_variant);
-  hostj.set("fma_gflops", host.fma_gflops);
-  hostj.set("stream_gbs", host.stream_gbs);
-  hostj.set("knee_flops_per_byte", host.knee());
-  hostj.set("calibration_seconds", host.calibration_seconds);
-  out.set("host_peaks", std::move(hostj));
-  JsonValue devj = JsonValue::object();
-  devj.set("name", device.name);
-  devj.set("peak_fp64_tflops", device.peak_fp64_tflops);
-  devj.set("peak_dram_gbs", device.peak_dram_gbs);
-  devj.set("knee_flops_per_byte", device.roofline_knee());
-  out.set("device_model", std::move(devj));
-  JsonValue kernels = JsonValue::array();
-  for (const auto& e : entries) {
-    const auto h = place(e, host.fma_gflops, host.stream_gbs);
-    const auto d = place(e, device.peak_fp64_tflops * 1e3, device.peak_dram_gbs);
-    JsonValue k = JsonValue::object();
-    k.set("kernel", e.kernel);
-    k.set("flops", static_cast<long long>(e.flops));
-    k.set("dram_bytes", static_cast<long long>(e.dram_bytes));
-    k.set("shared_bytes", static_cast<long long>(e.shared_bytes));
-    k.set("seconds", e.seconds);
-    k.set("ai", h.ai);
-    k.set("compute_bound_host", h.compute_bound);
-    k.set("host_achieved_gflops", h.achieved_gflops);
-    k.set("host_pct_of_attainable", h.pct_of_attainable);
-    k.set("device_attainable_fraction", d.attainable_fraction);
-    kernels.push_back(std::move(k));
-  }
-  out.set("kernels", std::move(kernels));
-  return out;
 }
 
 } // namespace landau::obs

@@ -1,11 +1,11 @@
 #pragma once
 // Roofline reporter: a one-shot machine-peak calibrator (FMA-throughput and
 // streaming-bandwidth microbenchmarks on the host) combined with the exact
-// KernelCounters flop/byte instrumentation to emit Table-IV-style roofline
-// utilization tables automatically — no NSight Compute required, because
-// arithmetic intensity is a property of the algorithm (it reproduces exactly
-// in emulation) and the achieved-fraction column only needs the host's own
-// measured peaks.
+// flop/byte counts each kernel launch adds to its profiler event, to emit
+// Table-IV-style roofline utilization tables — no NSight Compute required,
+// because arithmetic intensity is a property of the algorithm (it reproduces
+// exactly in emulation) and the achieved-fraction column only needs the
+// host's own measured peaks.
 //
 // Two placements are reported per kernel: against the *host* peaks (what this
 // build actually attains) and against a modeled device (DeviceSpec — V100 by
@@ -15,9 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/counters.h"
 #include "exec/device.h"
-#include "obs/json.h"
 
 namespace landau::obs {
 
@@ -38,20 +36,12 @@ struct MachinePeaks {
 /// result is cached after the first call (pass `recalibrate` to force).
 MachinePeaks calibrate_peaks(double budget_seconds = 0.1, bool recalibrate = false);
 
-/// One kernel's measured work and time.
+/// One kernel's measured work and time (a profiler event's EventStats).
 struct RooflineEntry {
   std::string kernel;
   std::int64_t flops = 0;
   std::int64_t dram_bytes = 0;
-  std::int64_t shared_bytes = 0;
   double seconds = 0.0;
-
-  static RooflineEntry from_counters(std::string kernel, const exec::KernelCounters& c,
-                                     double seconds) {
-    return {std::move(kernel), c.flops.load(std::memory_order_relaxed),
-            c.dram_bytes.load(std::memory_order_relaxed),
-            c.shared_bytes.load(std::memory_order_relaxed), seconds};
-  }
 };
 
 /// Derived roofline placement of one entry against one (peak flops, peak BW).
@@ -69,9 +59,5 @@ RooflinePlacement place(const RooflineEntry& e, double peak_gflops, double peak_
 /// modeled device. Returns the rendered ASCII table.
 std::string roofline_report(const std::vector<RooflineEntry>& entries, const MachinePeaks& host,
                             const exec::DeviceSpec& device);
-
-/// The same report as JSON (consumed by the bench emitter / bench_compare).
-JsonValue roofline_json(const std::vector<RooflineEntry>& entries, const MachinePeaks& host,
-                        const exec::DeviceSpec& device);
 
 } // namespace landau::obs

@@ -104,35 +104,30 @@ void Profiler::add_work(int id, std::int64_t flops, std::int64_t dram_bytes) {
   slot(id).dram_bytes.fetch_add(dram_bytes, std::memory_order_relaxed);
 }
 
+EventStats Profiler::stats_of(const Slot& s) {
+  EventStats es;
+  es.name = s.name;
+  es.count = s.count.load(std::memory_order_relaxed);
+  es.seconds = 1e-9 * static_cast<double>(s.nanos.load(std::memory_order_relaxed));
+  es.flops = s.flops.load(std::memory_order_relaxed);
+  es.dram_bytes = s.dram_bytes.load(std::memory_order_relaxed);
+  return es;
+}
+
 std::vector<EventStats> Profiler::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<EventStats> out;
   out.reserve(static_cast<std::size_t>(n_slots_));
-  for (int id = 0; id < n_slots_; ++id) {
-    const Slot& s = slot(id);
-    EventStats es;
-    es.name = s.name;
-    es.count = s.count.load(std::memory_order_relaxed);
-    es.seconds = 1e-9 * static_cast<double>(s.nanos.load(std::memory_order_relaxed));
-    es.flops = s.flops.load(std::memory_order_relaxed);
-    es.dram_bytes = s.dram_bytes.load(std::memory_order_relaxed);
-    out.push_back(es);
-  }
+  for (int id = 0; id < n_slots_; ++id) out.push_back(stats_of(slot(id)));
   std::sort(out.begin(), out.end(),
             [](const EventStats& a, const EventStats& b) { return a.seconds > b.seconds; });
   return out;
 }
 
-double Profiler::seconds(std::string_view name) const {
+EventStats Profiler::stats(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const Slot* s = find(name);
-  return s ? 1e-9 * static_cast<double>(s->nanos.load(std::memory_order_relaxed)) : 0.0;
-}
-
-std::int64_t Profiler::count(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Slot* s = find(name);
-  return s ? s->count.load(std::memory_order_relaxed) : 0;
+  return s ? stats_of(*s) : EventStats{std::string(name)};
 }
 
 void Profiler::reset() {

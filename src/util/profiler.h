@@ -56,17 +56,18 @@ public:
   /// Add externally-measured time (used by the schedule simulator).
   void add(int id, double seconds, std::int64_t count = 1);
 
-  /// Attribute flop/DRAM work to an event (the linear solvers and kernels
-  /// thread their counters here so phase totals carry work, not just time).
+  /// Attribute flop/DRAM work to an event (each kernel launch, linear solve
+  /// and pack adds its own here, so phase totals carry work, not just time).
   /// Allocation-free: callers cache the id from event_id().
   void add_work(int id, std::int64_t flops, std::int64_t dram_bytes = 0);
 
   /// Snapshot of all events (sorted by accumulated time, descending).
   std::vector<EventStats> snapshot() const;
 
-  /// Accumulated seconds / calls of one event by name (0 if never seen).
-  double seconds(std::string_view name) const;
-  std::int64_t count(std::string_view name) const;
+  /// Accumulated statistics of one event by name (zeros if never seen).
+  EventStats stats(std::string_view name) const;
+  double seconds(std::string_view name) const { return stats(name).seconds; }
+  std::int64_t count(std::string_view name) const { return stats(name).count; }
 
   /// Zero all accumulators (ids remain valid). Used between bench phases.
   void reset();
@@ -92,6 +93,7 @@ private:
   /// handed out, and never changes afterwards.
   Slot& slot(int id) const { return chunks_[id / kChunkSlots][id % kChunkSlots]; }
   const Slot* find(std::string_view name) const; // caller holds mutex_
+  static EventStats stats_of(const Slot& s);
 
   mutable std::mutex mutex_;
   std::map<std::string, int, std::less<>> ids_;

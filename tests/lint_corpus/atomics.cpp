@@ -23,6 +23,6 @@ void bad_atomics(exec::ThreadPool& pool, std::span<double> values) {
           out[i] += 2.0; // VIOLATION: read-modify-write without atomicity
         });
       },
-      nullptr, &chk, "corpus:atomics");
+      &chk, "corpus:atomics");
   chk.finish();
 }

@@ -22,5 +22,5 @@ void bad_barriers(exec::ThreadPool& pool) {
         }
         blk.sync(); // ok: block-uniform top-level barrier
       },
-      nullptr, nullptr, "corpus:barriers");
+      nullptr, "corpus:barriers");
 }

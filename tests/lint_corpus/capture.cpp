@@ -23,6 +23,6 @@ void bad_capture(exec::ThreadPool& pool, FileLogger& logger) {
         FileLogger local; // VIOLATION: host-only name referenced in kernel
         local.log(scratch[0]);
       },
-      nullptr, nullptr, "corpus:capture");
+      nullptr, "corpus:capture");
   logger.log(0.0); // ok: host code may use host-only services freely
 }

@@ -42,6 +42,6 @@ void clean_kernel(exec::ThreadPool& pool, std::span<double> values, landau::la::
         });
         (void)out;
       },
-      nullptr, &chk, "corpus:clean");
+      &chk, "corpus:clean");
   chk.finish();
 }

@@ -19,12 +19,12 @@ void unnamed_allocs(exec::ThreadPool& pool) {
         });
         blk.shfl_xor_sum_x(regs);
       },
-      nullptr, nullptr);
+      nullptr);
 }
 
 void unannotated(exec::ThreadPool& pool) {
   // The unmarked lambda means none of the device-region checks see its body.
   exec::launch( // VIOLATION: kernel lambda lacks the LANDAU_KERNEL marker
       pool, 8, {32, 1, 1}, [&](exec::Block& blk) { (void)blk; },
-      nullptr, nullptr, "corpus:unannotated");
+      nullptr, "corpus:unannotated");
 }

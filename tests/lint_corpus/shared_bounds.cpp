@@ -23,5 +23,5 @@ void bad_bounds(exec::ThreadPool& pool) {
         tile[kTile + 1] = 1.0; // VIOLATION: provably past the end
         tile[kTile - 1] = 1.0; // ok: last valid slot
       },
-      nullptr, nullptr, "corpus:bounds");
+      nullptr, "corpus:bounds");
 }

@@ -141,19 +141,3 @@ TEST(CudaSim, ArenaAlignsOveralignedTypes) {
   auto big = arena.alloc<Tile>(8);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big.data()) % alignof(Tile), 0u);
 }
-
-TEST(CudaSim, CountersAccumulateAcrossBlocks) {
-  ThreadPool pool(2);
-  KernelCounters counters;
-  launch(
-      pool, 10, Dim3{2, 2, 1},
-      [&](Block& blk) {
-        CounterScope scope(blk.counters());
-        scope.flops(100);
-        scope.dram(8);
-      },
-      &counters);
-  EXPECT_EQ(counters.flops.load(), 1000);
-  EXPECT_EQ(counters.dram_bytes.load(), 80);
-  EXPECT_NEAR(counters.arithmetic_intensity(), 12.5, 1e-12);
-}

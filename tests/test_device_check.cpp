@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <span>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "landau3d/operator3d.h"
 #include "quench/model.h"
 #include "solver/implicit.h"
+#include "util/profiler.h"
 
 using namespace landau;
 namespace check = landau::exec::check;
@@ -92,7 +94,7 @@ TEST_F(DeviceCheck, IntraBlockSharedRaceHasFullProvenance) {
         // All four threads of phase 0 write the same shared word.
         blk.threads([&](exec::ThreadIdx t) { s[0] = static_cast<double>(t.x); });
       },
-      nullptr, &chk);
+      &chk);
   chk.finish();
 
   auto& dc = check::DeviceChecker::instance();
@@ -124,7 +126,7 @@ TEST_F(DeviceCheck, SyncSeparatedAccessesAreNotARace) {
           s.raw()[static_cast<std::size_t>(t.x)] = sum; // raw: outside the model
         });
       },
-      nullptr, &chk);
+      &chk);
   chk.finish();
   EXPECT_EQ(check::DeviceChecker::instance().total(), 0);
 }
@@ -143,7 +145,7 @@ TEST_F(DeviceCheck, UninitializedSharedReadIsReported) {
           (void)v;
         });
       },
-      nullptr, &chk);
+      &chk);
   chk.finish();
   auto& dc = check::DeviceChecker::instance();
   EXPECT_GE(dc.count(check::kUninitRead), 1);
@@ -166,7 +168,7 @@ TEST_F(DeviceCheck, OutOfBoundsIndexIsReportedNotFatal) {
           (void)v;
         });
       },
-      nullptr, &chk);
+      &chk);
   chk.finish();
   auto& dc = check::DeviceChecker::instance();
   EXPECT_GE(dc.count(check::kOutOfBounds), 2);
@@ -190,7 +192,7 @@ TEST_F(DeviceCheck, RegisterIsolationViolationIsReported) {
           regs[static_cast<std::size_t>((t.flat + 1) % blk.num_threads())] = 1.0;
         });
       },
-      nullptr, &chk);
+      &chk);
   chk.finish();
   auto& dc = check::DeviceChecker::instance();
   EXPECT_GE(dc.count(check::kRegisterIsolation), 1);
@@ -211,7 +213,7 @@ TEST_F(DeviceCheck, StrictModeThrowsFromFinish) {
         auto s = blk.shared<double>(1, "accum");
         blk.threads([&](exec::ThreadIdx t) { s[0] = static_cast<double>(t.x); });
       },
-      nullptr, &chk);
+      &chk);
   EXPECT_THROW(chk.finish(), landau::Error);
 }
 
@@ -246,7 +248,7 @@ TEST_F(DeviceCheck, ShuffleFlagsOrderDependentKernel) {
         // Non-commutative fold: any non-identity block order changes out[0].
         v[0] = (static_cast<double>(v[0]) + 1.0) * (blk.block_idx() + 2.0);
       },
-      nullptr, &chk);
+      &chk);
   chk.finish();
   EXPECT_GE(check::DeviceChecker::instance().count(check::kOrderDependent), 1);
   // The diff restores the natural-order result for the caller.
@@ -267,10 +269,42 @@ TEST_F(DeviceCheck, ShuffleLeavesDeterministicKernelClean) {
         auto v = blk.view(ref);
         v[static_cast<std::size_t>(blk.block_idx())] = 1.5 * blk.block_idx();
       },
-      nullptr, &chk);
+      &chk);
   chk.finish();
   EXPECT_EQ(check::DeviceChecker::instance().total(), 0);
   for (int b = 0; b < 8; ++b) EXPECT_DOUBLE_EQ(out[static_cast<std::size_t>(b)], 1.5 * b);
+}
+
+TEST_F(DeviceCheck, ShuffledReplayCountsLaunchWorkOnce) {
+  // The shuffler runs each grid twice, the second time in a seeded block
+  // order. Work is counted once per launch, outside the grid, so a shuffled
+  // call reports the same flops and bytes as an unshuffled one, to the
+  // caller's counters and to the launch's event alike.
+  for (Backend be : {Backend::Cpu, Backend::CudaSim, Backend::KokkosSim}) {
+    SCOPED_TRACE(backend_name(be));
+    LandauOperator op = make_small_op(be);
+    op.pack(op.maxwellian_state());
+    la::CsrMatrix j = op.new_matrix();
+    op.add_collision(j); // builds the pair-tensor tables on the fast back-ends
+    auto& prof = Profiler::instance();
+    auto call = [&](bool shuffle) {
+      check::options().shuffle = shuffle;
+      exec::KernelCounters counters;
+      prof.reset();
+      op.add_collision(j, &counters);
+      op.add_mass_kernel(j, 1.0);
+      const EventStats kernel = prof.stats("landau:jacobian-kernel");
+      EXPECT_EQ(kernel.flops, counters.flops.load());
+      EXPECT_EQ(kernel.dram_bytes, counters.dram_bytes.load());
+      return std::array{kernel.flops, kernel.dram_bytes, prof.stats("landau:mass-kernel").flops};
+    };
+    const auto plain = call(false);
+    const auto shuffled = call(true);
+    EXPECT_GT(plain[0], 0);
+    EXPECT_GT(plain[2], 0);
+    EXPECT_EQ(shuffled, plain);
+  }
+  EXPECT_EQ(check::DeviceChecker::instance().total(), 0);
 }
 
 // ---------------------------------------------------------------------------

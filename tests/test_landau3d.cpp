@@ -10,6 +10,7 @@
 
 #include "landau3d/operator3d.h"
 #include "solver/implicit.h"
+#include "util/profiler.h"
 #include "util/special_math.h"
 
 using namespace landau;
@@ -167,6 +168,32 @@ TEST(Landau3D, BackendsAgree) {
   for (std::size_t k = 0; k < j1.nnz(); ++k) scale = std::max(scale, std::abs(j1.values()[k]));
   for (std::size_t k = 0; k < j1.nnz(); ++k)
     EXPECT_NEAR(j2.values()[k], j1.values()[k], 1e-11 * scale);
+}
+
+TEST(Landau3D, KernelWorkIsCountedOncePerLaunch) {
+  // Both 3-D kernels integrate every cell point against every source point,
+  // 60 flops a pair; add_collision reports that to the caller's counters and
+  // to its landau3d:matrix event alike.
+  for (Backend be : {Backend::Cpu, Backend::CudaSim}) {
+    SCOPED_TRACE(backend_name(be));
+    Landau3DOptions o = small3d(be);
+    o.cells_per_dim = 2;
+    o.order = 2;
+    Landau3DOperator op(electron_only(), o);
+    op.pack(op.maxwellian_state());
+    la::CsrMatrix j = op.new_matrix();
+    exec::KernelCounters counters;
+    Profiler::instance().reset();
+    op.add_collision(j, &counters);
+    const auto cells = static_cast<std::int64_t>(op.space().n_cells());
+    const auto nq = static_cast<std::int64_t>(op.space().tabulation().n_quad());
+    const auto n = static_cast<std::int64_t>(op.space().n_ips());
+    EXPECT_EQ(counters.flops.load(), cells * nq * n * 60);
+    const EventStats e = Profiler::instance().stats("landau3d:matrix");
+    EXPECT_EQ(e.flops, counters.flops.load());
+    EXPECT_EQ(e.dram_bytes, counters.dram_bytes.load());
+    EXPECT_GT(e.dram_bytes, 0);
+  }
 }
 
 TEST(Landau3D, MaxwellianNearEquilibrium) {

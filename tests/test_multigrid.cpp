@@ -13,6 +13,7 @@
 #include "core/operator.h"
 #include "exec/counters.h"
 #include "solver/implicit.h"
+#include "util/profiler.h"
 #include "util/special_math.h"
 
 using namespace landau;
@@ -286,4 +287,31 @@ TEST(MultiGrid, KernelCountsOnlyGridSpeciesElementWork) {
                          n_grid_species * nb * nb * detail::kElementScaleFlops);
   }
   EXPECT_EQ(counters.flops.load(), expected);
+}
+
+TEST(MultiGrid, StepAttributesKernelWorkToItsEvent) {
+  // A plain step passes no counters, yet every Jacobian launch adds its
+  // work to landau:jacobian-kernel: each add_collision (one landau:matrix
+  // event) launches one kernel per grid, all reading the tables the first
+  // call builds.
+  LandauOperator op(two_cluster_species(), mg_opts(), 2.0);
+  ASSERT_EQ(op.n_grids(), 2);
+  ImplicitIntegrator integrator(op, NewtonOptions{});
+  la::Vec f = op.maxwellian_state();
+  auto& prof = Profiler::instance();
+  prof.reset();
+  integrator.step(f, 0.1);
+  exec::KernelWork per_call;
+  for (int g = 0; g < op.n_grids(); ++g) {
+    const exec::KernelWork w = landau_kernel_work(op.options().backend, op.make_context(g));
+    per_call.flops += w.flops;
+    per_call.dram_bytes += w.dram_bytes;
+  }
+  ASSERT_GT(per_call.flops, 0);
+  const std::int64_t calls = prof.count("landau:matrix");
+  ASSERT_GT(calls, 0);
+  const EventStats kernel = prof.stats("landau:jacobian-kernel");
+  EXPECT_EQ(kernel.count, calls * op.n_grids());
+  EXPECT_EQ(kernel.flops, calls * per_call.flops);
+  EXPECT_EQ(kernel.dram_bytes, calls * per_call.dram_bytes);
 }

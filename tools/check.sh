@@ -3,7 +3,8 @@
 # concurrency-sensitive suites (ctest -L sanitize of the one test binary),
 # the device memory-model checker validation suite (with the checker
 # force-enabled through the environment), the telemetry stage (a short traced quench run whose Chrome-trace JSON and
-# NDJSON step log are schema-validated, plus the bench_compare self-test),
+# NDJSON step log are schema-validated, the bench_compare self-test, and one
+# Table IV roofline run, which fails when a kernel event carries no work),
 # the back-end differential stage (the same quench with the default kernel
 # and with the serial cpu reference, step logs compared), the perfbench smoke
 # stage (each benchmark workload once, its end-to-end checks must pass), and
@@ -91,6 +92,10 @@ print(f"telemetry ok: {len(events)} spans, {len(lines)} step records, "
       f"{factors} factorizations / {iterations} Newton iterations")
 EOF
   python3 tools/bench_compare.py --self-test
+  # Table IV reads each kernel's work from its profiler event and fails
+  # when an entry reads no flops or no bytes; its BENCH JSON stays here.
+  ROOFLINE="$(cd "${BUILD}" && pwd)/bench/bench_table4_roofline"
+  (cd "${TELEMETRY_DIR}" && "${ROOFLINE}" -calibration_budget 0.05 >/dev/null)
 else
   echo "python3 not installed: skipped"
 fi

@@ -802,7 +802,7 @@ class FileLint:
                     and toks[i].value in ("shared", "team_scratch", "registers")
                     and self.tv(i - 1) in (".", "->")):
                 # The allocation methods are always templated on the element
-                # type; a plain call (e.g. CounterScope::shared(bytes)) is a
+                # type; a plain call (e.g. some obj.shared(bytes)) is a
                 # different method that happens to share the name.
                 a = match_angle(toks, i + 1) if self.tv(i + 1) == "<" else None
                 if a is None:
